@@ -17,8 +17,12 @@ from permsym import casebook, hilbert, models, sectors, symmetriser
 
 
 def parse_config(text: str) -> hilbert.AssemblyConfig:
+    """NxD as an assembly config; an argparse type, so a bad value is a usage error."""
     n, _, d = text.partition("x")
-    return hilbert.AssemblyConfig(int(n), int(d))
+    try:
+        return hilbert.AssemblyConfig(int(n), int(d))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected NxD such as 3x2, got {text!r} ({exc})") from exc
 
 
 def main() -> int:
@@ -26,7 +30,8 @@ def main() -> int:
     parser.add_argument(
         "--configs",
         nargs="+",
-        default=["2x2", "2x3", "3x2", "3x3", "4x2"],
+        type=parse_config,
+        default=[parse_config(c) for c in ("2x2", "2x3", "3x2", "3x3", "4x2")],
         help="assembly sizes as NxD",
     )
     parser.add_argument("--samples", type=int, default=100)
@@ -44,7 +49,7 @@ def main() -> int:
         if not ok:
             failures += 1
 
-    for config in map(parse_config, args.configs):
+    for config in args.configs:
         n, d = config.n, config.d
         fam = sectors.SectorProjectors.build(config)
         r_s, r_a, r_p = fam.ranks()

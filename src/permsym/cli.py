@@ -42,7 +42,7 @@ def _read_text(path: str) -> str:
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj))
+    print(json.dumps(obj, allow_nan=False))
 
 
 # ---------------------------------------------------------------------------
@@ -50,10 +50,21 @@ def _emit(obj) -> None:
 
 def _cmd_decompose(args) -> int:
     config = AssemblyConfig(args.n, args.d)
-    fam = sectors.SectorProjectors.build(config)
-    r_s, r_a, r_p = fam.ranks()
+    if config.n < 2:
+        raise ValueError(
+            "sector ranks need n >= 2 (for n = 1 the symmetric and "
+            "antisymmetric sectors coincide)"
+        )
+    isotypic = sectors.all_isotypic(config)
+    ranks = {comp.shape: comp.rank for comp in isotypic}
+    total = sum(ranks.values())
+    if total != config.dim:
+        raise sectors.DecompositionError(f"isotypic ranks sum to {total}, not dim {config.dim}")
+    r_s = ranks[(config.n,)]
+    r_a = ranks[(1,) * config.n]
+    r_p = total - r_s - r_a
     components = []
-    for comp in sectors.all_isotypic(config):
+    for comp in isotypic:
         rays = sectors.generalised_rays(comp, seed=args.seed)
         components.append(
             {
@@ -389,8 +400,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_coins)
 
     p = sub.add_parser("bloch", help="ratio coordinates on the two-coin ball")
-    p.add_argument("--xi", help="amplitude of |HT>, e.g. 1+0i")
-    p.add_argument("--eta", help="amplitude of |TH>")
+    p.add_argument(
+        "--xi", help="amplitude of |HT>, e.g. 1+0i; a negative real part needs the = form, --xi=-0.5+1i"
+    )
+    p.add_argument("--eta", help="amplitude of |TH>, e.g. --eta=-1-2i")
     p.add_argument("--sweep", type=int, help="emit a CSV sphere grid with K steps")
     p.set_defaults(func=_cmd_bloch)
 

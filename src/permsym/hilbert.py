@@ -79,10 +79,17 @@ class AssemblyConfig:
         return tuple(reversed(out))
 
 
+def _check_finite(x: np.ndarray) -> None:
+    # NaN passes every tolerance comparison, so it is refused here
+    if not np.isfinite(x).all():
+        raise ValueError("input has non-finite entries (NaN or infinity)")
+
+
 def _as_square(config: AssemblyConfig, m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.shape != (config.dim, config.dim):
         raise ValueError(f"expected shape {(config.dim, config.dim)}, got {m.shape}")
+    _check_finite(m)
     return m
 
 
@@ -90,6 +97,7 @@ def _as_vector(config: AssemblyConfig, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=complex)
     if v.shape != (config.dim,):
         raise ValueError(f"expected shape {(config.dim,)}, got {v.shape}")
+    _check_finite(v)
     return v
 
 
@@ -196,14 +204,14 @@ def basis_state(config: AssemblyConfig, letters: Sequence[int]) -> StateVector:
 # permutation operators
 
 def _target_map(config: AssemblyConfig, perm: Permutation) -> np.ndarray:
-    """target[i] = flat index of P(pi) e_i."""
-    n, d, dim = config.n, config.d, config.dim
-    strides = d ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    digits = (np.arange(dim, dtype=np.int64)[:, None] // strides) % d
-    moved = np.empty_like(digits)
-    for k in range(1, n + 1):
-        moved[:, perm(k) - 1] = digits[:, k - 1]
-    return moved @ strides
+    """target[i] = flat index of P(pi) e_i.
+
+    Index axis k of the tensor of flat indices by the output slot pi(k):
+    entry (i_1, ..., i_n) of the transpose is then the index of the word w
+    with w_{pi(k)} = i_k.
+    """
+    flat = np.arange(config.dim, dtype=np.int64).reshape((config.d,) * config.n)
+    return flat.transpose([image - 1 for image in perm.images]).reshape(-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,18 +263,28 @@ def all_perm_operators(config: AssemblyConfig) -> list[PermOperator]:
     return [perm_operator(config, p) for p in symgroup.all_permutations(config.n)]
 
 
-def conjugate_by(perm_op: PermOperator, a: np.ndarray) -> np.ndarray:
-    return perm_op.conjugate(a)
+def generator_operators(config: AssemblyConfig) -> list[PermOperator]:
+    """P((k k+1)) for k = 1..n-1: the adjacent transpositions generate S_n."""
+    n = config.n
+    return [perm_operator(config, symgroup.from_cycles(n, [(k, k + 1)])) for k in range(1, n)]
 
 
 def is_symmetric_operator(
     config: AssemblyConfig, a: np.ndarray, tol: float = EPS_ABS
 ) -> bool:
-    """True when a commutes with every P(pi), checked as P a P^dagger == a."""
+    """True when a commutes with every P(pi), checked as P a P^dagger == a
+    on the n-1 adjacent transpositions.
+
+    They generate S_n, so commuting with them is commuting with the group.
+    The residual max|P a P^dagger - a| = max|[P, a]| is subadditive along
+    words, because multiplying by a permutation matrix only moves entries:
+    a residual r on the generators bounds the residual of every pi by
+    l(pi) r, where l(pi) <= C(n, 2) is its length as a word in them.
+    """
     a = _as_square(config, a)
     return all(
         float(np.max(np.abs(op.conjugate(a) - a))) <= tol
-        for op in all_perm_operators(config)
+        for op in generator_operators(config)
     )
 
 
@@ -280,7 +298,9 @@ def group_average(config: AssemblyConfig, a: np.ndarray) -> np.ndarray:
     acc = np.zeros_like(a)
     ops = all_perm_operators(config)
     for op in ops:
-        acc += op.conjugate(a)
+        # op.conjugate(a) without re-validating a once per element
+        src = op.source
+        acc += a[np.ix_(src, src)]
     return acc / len(ops)
 
 
@@ -347,7 +367,17 @@ def matrix_obj(m: np.ndarray) -> dict:
 
 
 def matrix_to_json(m: np.ndarray) -> str:
-    return json.dumps(matrix_obj(m))
+    return json.dumps(matrix_obj(m), allow_nan=False)
+
+
+def _entries_from_json(data) -> np.ndarray:
+    """[[re, im], ...] as a complex array of finite entries."""
+    try:
+        flat = np.array([complex(re, im) for re, im in data], dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"entries must be [re, im] pairs of numbers: {exc}") from exc
+    _check_finite(flat)
+    return flat
 
 
 def matrix_from_json(text: str) -> np.ndarray:
@@ -356,9 +386,9 @@ def matrix_from_json(text: str) -> np.ndarray:
         rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad matrix JSON: {exc}") from exc
-    if rows < 0 or cols < 0 or len(data) != rows * cols:
-        raise ValueError(f"matrix JSON claims {rows}x{cols} but has {len(data)} entries")
-    flat = np.array([complex(re, im) for re, im in data], dtype=complex)
+    flat = _entries_from_json(data)
+    if rows < 0 or cols < 0 or flat.size != rows * cols:
+        raise ValueError(f"matrix JSON claims {rows}x{cols} but has {flat.size} entries")
     return flat.reshape(rows, cols)
 
 
@@ -371,7 +401,7 @@ def vector_obj(v: np.ndarray) -> dict:
 
 
 def vector_to_json(v: np.ndarray) -> str:
-    return json.dumps(vector_obj(v))
+    return json.dumps(vector_obj(v), allow_nan=False)
 
 
 def vector_from_json(text: str) -> np.ndarray:
@@ -380,6 +410,7 @@ def vector_from_json(text: str) -> np.ndarray:
         length, data = int(obj["length"]), obj["data"]
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad vector JSON: {exc}") from exc
-    if len(data) != length:
-        raise ValueError(f"vector JSON claims length {length} but has {len(data)} entries")
-    return np.array([complex(re, im) for re, im in data], dtype=complex)
+    flat = _entries_from_json(data)
+    if flat.size != length:
+        raise ValueError(f"vector JSON claims length {length} but has {flat.size} entries")
+    return flat

@@ -1,22 +1,30 @@
 """Sector and isotypic decomposition of the assembly space under S_n.
 
-The bosonic and fermionic sectors are the images of
+Each partition lambda of n labels an isotypic component with the
+character projector
 
-    E_S = (1/n!) sum_pi P(pi),      E_A = (1/n!) sum_pi sgn(pi) P(pi),
+    P_lambda = (dim lambda / n!) sum_C chi_lambda(C) sum_{pi in C} P(pi),
 
-and everything else is the paraparticle sector E_P = I - E_S - E_A.  More
-finely, each partition lambda of n labels an isotypic component with
-projector
+read from the class sums sum_{pi in C} P(pi), which one pass over the
+group collects for all p(n) conjugacy classes C at once.  The bosonic and
+fermionic sectors are the components of the trivial and the sign
+character, E_S = P_(n) and E_A = P_(1^n); everything else is the
+paraparticle sector E_P = I - E_S - E_A.  Each component splits further
+into ``copies = rank / dim lambda`` irreducible invariant subspaces
+("generalised rays").  That finer split is not canonical when
+copies >= 2; here it is made reproducible by a seeded construction:
+compress a twirled random Hermitian operator onto the component and take
+its eigenspaces, which (generically) are exactly one irreducible copy
+each.
 
-    P_lambda = (dim lambda / n!) sum_pi chi_lambda(pi) P(pi),
-
-which splits further into ``copies = rank / dim lambda`` irreducible
-invariant subspaces ("generalised rays").  That finer split is not
-canonical when copies >= 2; here it is made reproducible by a seeded
-construction: compress a twirled random Hermitian operator onto the
-component and take its eigenspaces, which (generically) are exactly one
-irreducible copy each.  Every returned ray is certified invariant, and
-irreducible via the commutant of the compressed representation.
+Every returned ray is certified invariant, and irreducible via the
+commutant of the compressed representation.  Both certificates ask only
+the n-1 adjacent transpositions (k k+1), and that is the same guarantee
+as asking every pi: they generate S_n, so a subspace invariant under
+them is invariant under the group, and the commutant of a group is the
+commutant of a generating set.  A residual r on the generators bounds
+the residual of any pi by l(pi) r, where l(pi) <= C(n, 2) is its length
+as a word in them.
 
 Ranks are read off eigenvalues (count above 1/2, tolerance EPS_RANK).
 The three-sector family requires n >= 2: for a single particle the sign
@@ -26,6 +34,7 @@ would not partition the identity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,26 +49,27 @@ class DecompositionError(RuntimeError):
     """Seeded ray extraction failed to certify an irreducible split."""
 
 
-def _perm_sum(config: AssemblyConfig, coeff) -> np.ndarray:
-    """sum_pi coeff(pi) P(pi) as a dense matrix, via index maps."""
+def _class_sums(config: AssemblyConfig) -> dict[tuple[int, ...], np.ndarray]:
+    """sum_{pi in C} P(pi) for every conjugacy class C, keyed by cycle type,
+    from one pass over S_n.  Entries are counts, kept as real float64."""
     dim = config.dim
-    acc = np.zeros((dim, dim), dtype=complex)
     cols = np.arange(dim)
-    for op in hilbert.all_perm_operators(config):
-        acc[op.target, cols] += coeff(op.perm)
-    return acc
+    sums = {c.cycle_type: np.zeros((dim, dim)) for c in symgroup.conjugacy_classes(config.n)}
+    for p in symgroup.all_permutations(config.n):
+        sums[p.cycle_type()][hilbert.perm_operator(config, p).target, cols] += 1.0
+    return sums
 
 
-def sym_projector(config: AssemblyConfig) -> np.ndarray:
-    """Projector onto the bosonic (fully symmetric) sector."""
-    order = len(symgroup.all_permutations(config.n))
-    return _perm_sum(config, lambda p: 1.0) / order
-
-
-def antisym_projector(config: AssemblyConfig) -> np.ndarray:
-    """Projector onto the fermionic (fully antisymmetric) sector."""
-    order = len(symgroup.all_permutations(config.n))
-    return _perm_sum(config, lambda p: float(p.parity())) / order
+def _character_projector(
+    config: AssemblyConfig, shape: tuple[int, ...], sums: dict[tuple[int, ...], np.ndarray]
+) -> np.ndarray:
+    if sum(shape) != config.n:
+        raise ValueError(f"partition {shape} does not partition n = {config.n}")
+    acc = np.zeros((config.dim, config.dim))
+    for cycle_type, class_sum in sums.items():
+        acc += symgroup.character(shape, cycle_type) * class_sum
+    scale = symgroup.irrep_dimension(shape) / math.factorial(config.n)
+    return (acc * scale).astype(complex)
 
 
 def projector_rank(p: np.ndarray, tol: float = EPS_RANK) -> int:
@@ -90,8 +100,9 @@ class SectorProjectors:
                 "sector family needs n >= 2 (for n = 1 the symmetric and "
                 "antisymmetric projectors coincide)"
             )
-        e_s = sym_projector(config)
-        e_a = antisym_projector(config)
+        sums = _class_sums(config)
+        e_s = _character_projector(config, (config.n,), sums)
+        e_a = _character_projector(config, (1,) * config.n, sums)
         e_p = np.eye(config.dim, dtype=complex) - e_s - e_a
         return cls(config, e_s, e_a, e_p)
 
@@ -125,21 +136,13 @@ class IsotypicComponent:
 
 
 def isotypic_projector(config: AssemblyConfig, shape: tuple[int, ...]) -> np.ndarray:
-    """P_lambda = (dim lambda / n!) sum_pi chi_lambda(pi) P(pi)."""
-    shape = tuple(shape)
-    if sum(shape) != config.n:
-        raise ValueError(f"partition {shape} does not partition n = {config.n}")
-    dim = symgroup.irrep_dimension(shape)
-    order = 1
-    for k in range(2, config.n + 1):
-        order *= k
-    m = _perm_sum(config, lambda p: float(symgroup.character(shape, p.cycle_type())))
-    return m * (dim / order)
+    """P_lambda = (dim lambda / n!) sum_C chi_lambda(C) sum_{pi in C} P(pi)."""
+    return _character_projector(config, tuple(shape), _class_sums(config))
 
 
-def isotypic_component(config: AssemblyConfig, shape: tuple[int, ...]) -> IsotypicComponent:
-    shape = tuple(shape)
-    proj = isotypic_projector(config, shape)
+def _component(
+    config: AssemblyConfig, shape: tuple[int, ...], proj: np.ndarray
+) -> IsotypicComponent:
     rank = projector_rank(proj)
     dim = symgroup.irrep_dimension(shape)
     if rank % dim != 0:
@@ -149,8 +152,18 @@ def isotypic_component(config: AssemblyConfig, shape: tuple[int, ...]) -> Isotyp
     return IsotypicComponent(config, shape, proj, rank, dim)
 
 
+def isotypic_component(config: AssemblyConfig, shape: tuple[int, ...]) -> IsotypicComponent:
+    shape = tuple(shape)
+    return _component(config, shape, isotypic_projector(config, shape))
+
+
 def all_isotypic(config: AssemblyConfig) -> list[IsotypicComponent]:
-    return [isotypic_component(config, lam) for lam in symgroup.partitions(config.n)]
+    """Every isotypic component, from one pass over S_n."""
+    sums = _class_sums(config)
+    return [
+        _component(config, lam, _character_projector(config, lam, sums))
+        for lam in symgroup.partitions(config.n)
+    ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,33 +221,43 @@ def _cluster(eigs: np.ndarray, gap: float) -> list[list[int]]:
 
 
 def invariance_residual(config: AssemblyConfig, basis: np.ndarray) -> float:
-    """max over pi of the part of P(pi) basis leaking out of span(basis)."""
+    """Largest spectral norm, over the adjacent transpositions s = (k k+1),
+    of the part of P(s) basis leaking out of span(basis).
+
+    span(basis) is S_n-invariant exactly when it is invariant under these
+    generators.  The leak (I - Q) P(pi) Q, Q the projector onto the span,
+    is subadditive along words because P is unitary and Q a contraction,
+    so a residual r here bounds the leak of every pi by l(pi) r, where
+    l(pi) <= C(n, 2) is its length as a word in adjacent transpositions.
+    """
     worst = 0.0
-    for op in hilbert.all_perm_operators(config):
+    for op in hilbert.generator_operators(config):
         moved = np.empty_like(basis)
         moved[op.target, :] = basis
         leak = moved - basis @ (basis.conj().T @ moved)
-        worst = max(worst, float(np.max(np.abs(leak))))
+        worst = max(worst, float(np.linalg.norm(leak, 2)))
     return worst
 
 
 def compressed_commutant_dimension(config: AssemblyConfig, basis: np.ndarray) -> int:
-    """Dimension of {X : [X, B^dagger P(pi) B] = 0 for all pi}.
+    """Dimension of {X : [X, B^dagger P(s) B] = 0 for every adjacent
+    transposition s = (k k+1)}.
 
-    Equals 1 exactly when the compressed representation is irreducible
+    The commutant of a group is the commutant of a generating set, so on
+    an invariant span(B) this is the commutant of the compressed
+    representation of S_n, of dimension 1 exactly when it is irreducible
     (Schur).  Uses row-major vec: vec(XM - MX) = (I kron M^T - M kron I) vec(X).
     """
     k = basis.shape[1]
     eye = np.eye(k)
-    rows = []
-    for op in hilbert.all_perm_operators(config):
+    rows = [np.zeros((0, k * k))]  # S_1 has no generators
+    for op in hilbert.generator_operators(config):
         moved = np.empty_like(basis)
         moved[op.target, :] = basis
         m = basis.conj().T @ moved
         rows.append(np.kron(eye, m.T) - np.kron(m, eye))
-    stacked = np.concatenate(rows, axis=0)
-    svals = np.linalg.svd(stacked, compute_uv=False)
-    return int(np.sum(svals < 1e-10 * max(1.0, svals[0])))
+    svals = np.linalg.svd(np.concatenate(rows, axis=0), compute_uv=False)
+    return k * k - int(np.sum(svals >= 1e-10 * max(1.0, svals.max(initial=0.0))))
 
 
 def generalised_rays(

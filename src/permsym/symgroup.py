@@ -239,21 +239,6 @@ def conjugacy_classes(n: int) -> list[ConjugacyClass]:
     return out
 
 
-class SymmetricGroup:
-    """S_n with element enumeration and conjugacy-class data, n <= N_MAX."""
-
-    def __init__(self, n: int):
-        _check_n(n)
-        self.n = n
-        self.order = math.factorial(n)
-
-    def elements(self) -> list[Permutation]:
-        return all_permutations(self.n)
-
-    def classes(self) -> list[ConjugacyClass]:
-        return conjugacy_classes(self.n)
-
-
 # ---------------------------------------------------------------------------
 # characters via the Murnaghan-Nakayama recursion
 #

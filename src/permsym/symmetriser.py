@@ -75,19 +75,6 @@ class SymClass:
         return float(np.max(np.abs(self.canonical - other.canonical))) <= tol
 
 
-def block_truncate(sectors: SectorProjectors, a: np.ndarray) -> np.ndarray:
-    """E_S A E_S + E_A A E_A + E_P A E_P: kill the cross-sector blocks.
-
-    Agrees with Sigma(A) whenever A is symmetric, and has the same
-    expectations against symmetric observables as A itself.
-    """
-    a = np.asarray(a, dtype=complex)
-    out = np.zeros_like(a)
-    for e in sectors.family():
-        out += e @ a @ e
-    return out
-
-
 def verify_identity_a(config: AssemblyConfig, w: np.ndarray, q: np.ndarray) -> float:
     """Residual of Tr(Sigma(W) Q) = Tr(Sigma(W) Sigma(Q))."""
     sw = symmetrise(config, w)

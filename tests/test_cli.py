@@ -3,8 +3,10 @@
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from permsym import cli
 from permsym import hilbert as hb
 from permsym import models as md
 from permsym import sectors as sec
+from permsym import symgroup as sg
 from permsym import symmetriser as sym
 
 
@@ -56,6 +59,31 @@ def test_decompose_json_report(capsys):
     by_partition = {tuple(c["partition"]): c for c in report["components"]}
     assert by_partition[(2, 1)]["copies"] == 2
     assert by_partition[(1, 1, 1)]["rays"] == []
+
+
+def test_decompose_seven_particles(capsys):
+    code, out, _ = run_cli(capsys, ["decompose", "--n", "7", "--d", "2", "--json"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["ranks"] == {"symmetric": 8, "antisymmetric": 0, "para": 120}
+    assert sum(ray["dim"] for comp in report["components"] for ray in comp["rays"]) == 128
+
+
+def test_decompose_single_particle_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, ["decompose", "--n", "1", "--d", "3"])
+    assert code == 2
+    assert out == ""
+    assert "n >= 2" in err
+
+
+def test_decompose_crosses_the_group_once_plus_once_per_draw(capsys, monkeypatch):
+    crossings, draws = [], []
+    enumerate_group, draw = sg.all_permutations, hb.random_observable
+    monkeypatch.setattr(sg, "all_permutations", lambda n: crossings.append(n) or enumerate_group(n))
+    monkeypatch.setattr(hb, "random_observable", lambda cfg, rng: draws.append(1) or draw(cfg, rng))
+    code, _, _ = run_cli(capsys, ["decompose", "--n", "4", "--d", "2", "--json"])
+    assert code == 0
+    assert draws and len(crossings) == 1 + len(draws)
 
 
 def test_decompose_human_output(capsys):
@@ -157,6 +185,23 @@ def test_classify_wrong_length_is_usage_error(capsys, tmp_path):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "command,payload",
+    [
+        ("classify", hb.vector_obj(np.full(4, np.nan))),
+        ("symmetrise", hb.matrix_obj(np.full((4, 4), np.nan))),
+        ("superselect", hb.matrix_obj(np.full((4, 4), np.nan))),
+    ],
+)
+def test_non_finite_input_is_usage_error(capsys, monkeypatch, command, payload):
+    # json.dumps writes NaN as a bare literal, which json.loads accepts
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+    code, out, err = run_cli(capsys, [command, "--n", "2", "--d", "2", "--input", "-"])
+    assert code == 2
+    assert out == ""
+    assert "non-finite" in err
+
+
 def test_superselect_matches_block_truncation(capsys, tmp_path):
     cfg = hb.AssemblyConfig(3, 2)
     w = hb.random_density(cfg, hb.rng_for(31))
@@ -212,6 +257,14 @@ def test_bloch_complex_arguments(capsys):
     # z = (xi - eta)/(xi + eta) = i
     assert report["z"][0] == pytest.approx(0.0, abs=1e-15)
     assert report["z"][1] == pytest.approx(1.0, abs=1e-15)
+
+
+def test_bloch_negative_real_part_needs_equals_form(capsys):
+    code, out, _ = run_cli(capsys, ["bloch", "--xi=-0.5+1i", "--eta=1"])
+    assert code == 0
+    # z = (xi - eta)/(xi + eta) = (-1.5+i)/(0.5+i)
+    z = (-1.5 + 1j) / (0.5 + 1j)
+    assert json.loads(out)["z"] == pytest.approx([z.real, z.imag], abs=1e-15)
 
 
 def test_bloch_needs_arguments(capsys):
@@ -425,6 +478,23 @@ def test_help_exits_zero(capsys):
 def test_unknown_subcommand_is_usage_error(capsys):
     assert cli.run(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+def test_verify_all_rejects_malformed_config():
+    import permsym
+
+    script = Path(__file__).resolve().parents[1] / "scripts" / "verify_all.py"
+    env = dict(os.environ, PYTHONPATH=str(Path(permsym.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, str(script), "--configs", "3y2"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "usage:" in proc.stderr and "3y2" in proc.stderr
 
 
 def test_console_script_is_installed():

@@ -124,6 +124,22 @@ def test_perm_operator_slot_rule():
         hb.perm_operator(cfg, sg.identity(3))
 
 
+def test_target_map_matches_digit_route():
+    def by_digits(cfg, perm):
+        # the letters of e_i, with slot k's letter moved to slot pi(k)
+        strides = cfg.d ** np.arange(cfg.n - 1, -1, -1)
+        digits = (np.arange(cfg.dim)[:, None] // strides) % cfg.d
+        moved = np.empty_like(digits)
+        for k in range(1, cfg.n + 1):
+            moved[:, perm(k) - 1] = digits[:, k - 1]
+        return moved @ strides
+
+    for n, d in [(1, 3), (2, 2), (3, 3), (4, 2)]:
+        cfg = hb.AssemblyConfig(n, d)
+        for p in sg.all_permutations(n):
+            assert np.array_equal(hb.perm_operator(cfg, p).target, by_digits(cfg, p))
+
+
 def test_perm_operator_matrix_is_permutation_matrix():
     cfg = hb.AssemblyConfig(3, 3)
     for p in sg.all_permutations(3):
@@ -211,6 +227,23 @@ def test_is_symmetric_operator():
     assert not hb.is_symmetric_operator(cfg, ht_proj)
 
 
+def test_is_symmetric_operator_agrees_with_the_whole_group():
+    def commutes_with_every_pi(cfg, a, tol=hb.EPS_ABS):
+        return all(
+            float(np.max(np.abs(op.conjugate(a) - a))) <= tol for op in hb.all_perm_operators(cfg)
+        )
+
+    cfg = hb.AssemblyConfig(4, 2)
+    rng = hb.rng_for(17)
+    a = hb.random_observable(cfg, rng)
+    twirled = hb.group_average(cfg, a)
+    # counts letter-1 slots among slots 1-3: commutes with (1 2) and (2 3), not (3 4)
+    partial = np.diag([float(sum(cfg.letters(i)[:3])) for i in range(cfg.dim)]).astype(complex)
+    for op, want in [(a, False), (twirled, True), (partial, False)]:
+        assert hb.is_symmetric_operator(cfg, op) is want
+        assert commutes_with_every_pi(cfg, op) is want
+
+
 def test_group_average_lands_in_commutant():
     cfg = hb.AssemblyConfig(3, 2)
     rng = hb.rng_for(4)
@@ -262,3 +295,24 @@ def test_json_error_paths():
         hb.matrix_to_json(np.zeros(3))
     with pytest.raises(ValueError):
         hb.vector_to_json(np.zeros((2, 2)))
+    with pytest.raises(ValueError):  # ragged entries
+        hb.vector_from_json('{"length": 2, "data": [1, [0, 1]]}')
+    with pytest.raises(ValueError):  # entries that are not numbers
+        hb.matrix_from_json('{"rows": 1, "cols": 1, "data": [["1", 0]]}')
+
+
+def test_non_finite_input_is_rejected():
+    cfg = hb.AssemblyConfig(2, 2)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            hb.StateVector(cfg, np.full(4, bad))
+        with pytest.raises(ValueError):
+            hb.Observable(cfg, np.full((4, 4), bad))
+        with pytest.raises(ValueError):
+            hb.matrix_to_json(np.full((1, 1), bad))
+        with pytest.raises(ValueError):
+            hb.vector_to_json(np.array([bad]))
+    with pytest.raises(ValueError):
+        hb.matrix_from_json('{"rows": 1, "cols": 1, "data": [[NaN, 0]]}')
+    with pytest.raises(ValueError):
+        hb.vector_from_json('{"length": 1, "data": [[0, -Infinity]]}')

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from permsym import hilbert as hb
 from permsym import sectors as sec
+from permsym import symgroup as sg
 
 # closed forms: bosonic rank C(d+n-1, n), fermionic rank C(d, n)
 SECTOR_RANK_CASES = [
@@ -216,6 +217,75 @@ def test_ray_count_matches_multiplicities():
     assert counts == {(3,): 10, (2, 1): 8, (1, 1, 1): 1}
     dims = {r.shape: r.dim for r in rays}
     assert dims == {(3,): 1, (2, 1): 2, (1, 1, 1): 1}
+
+
+# ---------------------------------------------------------------------------
+# certificates on the adjacent transpositions, against the whole group
+
+def full_group_invariance_residual(cfg, basis):
+    """max over every pi of the part of P(pi) basis leaking out of span(basis)."""
+    worst = 0.0
+    for op in hb.all_perm_operators(cfg):
+        moved = np.empty_like(basis)
+        moved[op.target, :] = basis
+        leak = moved - basis @ (basis.conj().T @ moved)
+        worst = max(worst, float(np.max(np.abs(leak))))
+    return worst
+
+
+def full_group_commutant_dimension(cfg, basis):
+    """Dimension of {X : [X, B^dagger P(pi) B] = 0 for every pi}."""
+    k = basis.shape[1]
+    eye = np.eye(k)
+    rows = []
+    for op in hb.all_perm_operators(cfg):
+        moved = np.empty_like(basis)
+        moved[op.target, :] = basis
+        m = basis.conj().T @ moved
+        rows.append(np.kron(eye, m.T) - np.kron(m, eye))
+    svals = np.linalg.svd(np.concatenate(rows, axis=0), compute_uv=False)
+    return int(np.sum(svals < 1e-10 * max(1.0, svals[0])))
+
+
+@pytest.mark.parametrize("n,d", [(3, 2), (3, 3), (4, 2), (4, 3), (5, 2)])
+def test_generator_certificates_agree_with_the_whole_group(n, d):
+    cfg = hb.AssemblyConfig(n, d)
+    for ray in sec.assembly_rays(cfg):
+        assert sec.invariance_residual(cfg, ray.basis) <= hb.EPS_ABS
+        assert full_group_invariance_residual(cfg, ray.basis) <= hb.EPS_ABS
+        assert sec.compressed_commutant_dimension(cfg, ray.basis) == 1
+        assert full_group_commutant_dimension(cfg, ray.basis) == 1
+
+
+def test_two_copies_have_a_four_dimensional_commutant_on_both_routes():
+    cfg = hb.AssemblyConfig(3, 2)
+    rays = sec.generalised_rays(sec.isotypic_component(cfg, (2, 1)))
+    joined = np.hstack([r.basis for r in rays])
+    assert sec.compressed_commutant_dimension(cfg, joined) == 4
+    assert full_group_commutant_dimension(cfg, joined) == 4
+
+
+def test_rotated_subspace_fails_invariance_on_both_routes():
+    cfg = hb.AssemblyConfig(3, 2)
+    ray = sec.generalised_rays(sec.isotypic_component(cfg, (2, 1)))[0]
+    outside = sec.generalised_rays(sec.isotypic_component(cfg, (3,)))[0].basis[:, 0]
+    rotated = ray.basis.copy()
+    rotated[:, 0] = math.cos(0.3) * rotated[:, 0] + math.sin(0.3) * outside
+    assert np.max(np.abs(rotated.conj().T @ rotated - np.eye(2))) < 1e-12
+    assert sec.invariance_residual(cfg, rotated) > hb.EPS_ABS
+    assert full_group_invariance_residual(cfg, rotated) > hb.EPS_ABS
+
+
+def test_projectors_cross_the_group_once(monkeypatch):
+    cfg = hb.AssemblyConfig(4, 2)
+    crossings = []
+    enumerate_group = sg.all_permutations
+    monkeypatch.setattr(sg, "all_permutations", lambda n: crossings.append(n) or enumerate_group(n))
+    sec.all_isotypic(cfg)
+    assert crossings == [4]
+    crossings.clear()
+    sec.SectorProjectors.build(cfg)
+    assert crossings == [4]
 
 
 # ---------------------------------------------------------------------------

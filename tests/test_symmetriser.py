@@ -160,12 +160,12 @@ def test_block_truncation_is_sim_equivalent_to_original():
     rng = hb.rng_for(12)
     for _ in range(4):
         w = hb.random_density(cfg, rng)
-        cut = sym.block_truncate(fam, w)
+        cut = sym.sector_superselect(fam, w)
         assert sym.sim_equivalent(cfg, w, cut)
         hb.DensityOperator(cfg, cut)
-        assert np.max(np.abs(sym.block_truncate(fam, cut) - cut)) < 1e-12
+        assert np.max(np.abs(sym.sector_superselect(fam, cut) - cut)) < 1e-12
     q = sym.symmetrise(cfg, hb.random_observable(cfg, rng))
-    assert np.max(np.abs(sym.block_truncate(fam, q) - q)) < 1e-12
+    assert np.max(np.abs(sym.sector_superselect(fam, q) - q)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -205,13 +205,6 @@ def test_pinch_preserves_commuting_expectations():
 def test_pinch_by_trivial_family_is_identity():
     w = hb.random_density(COIN, hb.rng_for(9))
     assert np.array_equal(sym.superselect(w, [np.eye(4, dtype=complex)]), w)
-
-
-def test_block_truncate_agrees_with_sector_superselect():
-    cfg = hb.AssemblyConfig(3, 2)
-    fam = sec.SectorProjectors.build(cfg)
-    w = hb.random_density(cfg, hb.rng_for(15))
-    assert np.max(np.abs(sym.block_truncate(fam, w) - sym.sector_superselect(fam, w))) < 1e-12
 
 
 # ---------------------------------------------------------------------------
