@@ -17,12 +17,16 @@ from permsym import casebook, hilbert, models, sectors, symmetriser
 
 
 def parse_config(text: str) -> hilbert.AssemblyConfig:
-    """NxD as an assembly config; an argparse type, so a bad value is a usage error."""
+    """NxD with N >= 2, as the sector checks need, as an assembly config;
+    an argparse type, so a bad value is a usage error."""
     n, _, d = text.partition("x")
     try:
-        return hilbert.AssemblyConfig(int(n), int(d))
+        config = hilbert.AssemblyConfig(int(n), int(d))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected NxD such as 3x2, got {text!r} ({exc})") from exc
+    if config.n < 2:
+        raise argparse.ArgumentTypeError(f"expected NxD with N >= 2, got {text!r}")
+    return config
 
 
 def main() -> int:
@@ -90,20 +94,19 @@ def main() -> int:
         )
 
         pinch_worst = 0.0
-        if n >= 2:
-            for _ in range(10):
-                w = hilbert.random_density(config, rng)
-                q = symmetriser.symmetrise(config, hilbert.random_observable(config, rng))
-                pinched = symmetriser.sector_superselect(fam, w)
-                pinch_worst = max(
-                    pinch_worst,
-                    abs(hilbert.expectation(w, q) - hilbert.expectation(pinched, q)),
-                )
-            check(
-                f"superselection no-signalling n={n} d={d}",
-                pinch_worst <= args.tolerance,
-                f"max residual {pinch_worst:.2e}",
+        for _ in range(10):
+            w = hilbert.random_density(config, rng)
+            q = symmetriser.symmetrise(config, hilbert.random_observable(config, rng))
+            pinched = symmetriser.sector_superselect(fam, w)
+            pinch_worst = max(
+                pinch_worst,
+                abs(hilbert.expectation(w, q) - hilbert.expectation(pinched, q)),
             )
+        check(
+            f"superselection no-signalling n={n} d={d}",
+            pinch_worst <= args.tolerance,
+            f"max residual {pinch_worst:.2e}",
+        )
 
     sigma_report = symmetriser.is_projector_on_operator_space(
         hilbert.AssemblyConfig(3, 2), samples=20, seed=args.seed, tol=args.tolerance

@@ -5,8 +5,10 @@ superselect, coins, bloch, fig3, model, theory, toy-theories.
 
 Exit codes: 0 on success, 1 when a verification fails (a residual exceeds
 its tolerance or a certified decomposition cannot be produced), 2 on
-usage or input errors.  Output is deterministic: identical argv and seed
-give byte-identical bytes, with floats in shortest round-trip form.
+usage or input errors, 3 when the computation runs out of memory or a
+linear-algebra routine fails.  Output is deterministic: identical argv
+and seed give byte-identical bytes, with floats in shortest round-trip
+form.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import argparse
 import json
 import re
 import sys
+
+import numpy as np
 
 from . import casebook, hilbert, models, sectors, symgroup, symmetriser
 from .hilbert import AssemblyConfig
@@ -449,6 +453,10 @@ def run(argv: list[str] | None = None) -> int:
     except hilbert.NumericalIntegrityError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
+    except (MemoryError, np.linalg.LinAlgError) as exc:
+        # before ValueError, which LinAlgError subclasses
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

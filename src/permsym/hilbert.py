@@ -288,20 +288,41 @@ def is_symmetric_operator(
     )
 
 
-def group_average(config: AssemblyConfig, a: np.ndarray) -> np.ndarray:
-    """Twirl over the permutation representation:
-    (1/n!) sum_pi P(pi) a P(pi)^dagger.
+def _pair_orbit_labels(config: AssemblyConfig) -> np.ndarray:
+    """Label of the S_n-orbit of every index pair (i, j), flat in row-major
+    (i, j) order.
 
-    Projects End(H) onto the commutant of the representation.
+    A permutation moves the pair letters i_k * d + j_k between slots, so
+    the orbit of (i, j) is fixed by their sorted list, read here as a
+    base-d**2 number.  Labels are below D**2 <= DIM_CAP**2 = 2**40.
+    """
+    n, d, dim = config.n, config.d, config.dim
+    letters = np.indices((d,) * n, dtype=np.min_scalar_type(d * d)).reshape(n, dim)
+    pairs = np.empty((dim, dim, n), dtype=letters.dtype)
+    for k in range(n):
+        np.add.outer(letters[k] * d, letters[k], out=pairs[:, :, k])
+    pairs.sort(axis=-1)
+    label = np.zeros((dim, dim), dtype=np.int64)
+    for k in range(n):
+        label *= d * d
+        label += pairs[:, :, k]
+    return label.reshape(-1)
+
+
+def symmetrise(config: AssemblyConfig, a: np.ndarray) -> np.ndarray:
+    """Sigma(A) = (1/n!) sum_pi P(pi) A P(pi)^dagger, the twirl over the
+    permutation representation; it projects End(H) onto the commutant.
+
+    Entry (i, j) of the average is the mean of A over the S_n-orbit of the
+    index pair (i, j), read here from orbit labels with no pass over S_n.
     """
     a = _as_square(config, a)
-    acc = np.zeros_like(a)
-    ops = all_perm_operators(config)
-    for op in ops:
-        # op.conjugate(a) without re-validating a once per element
-        src = op.source
-        acc += a[np.ix_(src, src)]
-    return acc / len(ops)
+    label = _pair_orbit_labels(config)
+    orbit_size = np.bincount(label)[label]
+    out = np.empty(a.size, dtype=complex)
+    out.real = np.bincount(label, weights=a.real.reshape(-1))[label] / orbit_size
+    out.imag = np.bincount(label, weights=a.imag.reshape(-1))[label] / orbit_size
+    return out.reshape(a.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,9 @@ into ``copies = rank / dim lambda`` irreducible invariant subspaces
 copies >= 2; here it is made reproducible by a seeded construction:
 compress a twirled random Hermitian operator onto the component and take
 its eigenspaces, which (generically) are exactly one irreducible copy
-each.
+each.  The twirl is the symmetriser :func:`permsym.hilbert.symmetrise`,
+a mean over pair orbits that never enumerates S_n, so the class sums
+are the only pass over the group.
 
 Every returned ray is certified invariant, and irreducible via the
 commutant of the compressed representation.  Both certificates ask only
@@ -297,7 +299,7 @@ def generalised_rays(
     rng = hilbert.rng_for(seed)
     last_error: DecompositionError | None = None
     for _ in range(max_attempts):
-        twirled = hilbert.group_average(config, hilbert.random_observable(config, rng))
+        twirled = hilbert.symmetrise(config, hilbert.random_observable(config, rng))
         compressed = basis.conj().T @ twirled @ basis
         eigvals, eigvecs = np.linalg.eigh(compressed)
         scale = max(1.0, float(eigvals[-1] - eigvals[0]))
@@ -344,7 +346,7 @@ def classify_vector(
     A vector is labelled by a sector only when it lies in it entirely
     (weight 1 within tol); anything split across sectors is "skew".
     """
-    v = np.asarray(v, dtype=complex)
+    v = hilbert._as_vector(sectors.config, v)
     norm = float(np.linalg.norm(v))
     if abs(norm - 1.0) > hilbert.EPS_NORM:
         raise ValueError(f"classify_vector needs a normalized vector, norm {norm}")
@@ -381,10 +383,12 @@ def schur_check(
     """Check that a symmetric operator compresses to c * identity on each
     irreducible ray (Schur's lemma), returning the scalars and the worst
     off-scalar residual."""
+    q = np.asarray(q, dtype=complex)
+    hilbert._check_finite(q)
     scalars = []
     worst = 0.0
     for ray in rays:
-        m = ray.compress(np.asarray(q, dtype=complex))
+        m = ray.compress(q)
         c = complex(np.trace(m)) / ray.dim
         worst = max(worst, float(np.max(np.abs(m - c * np.eye(ray.dim)))))
         scalars.append(hilbert.real_expectation(c, tol=max(tol, 1e-9)))

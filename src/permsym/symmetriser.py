@@ -1,11 +1,13 @@
 """The symmetriser on operators and what expectation values can see.
 
 Sigma(A) = (1/n!) sum_pi P(pi) A P(pi)^dagger averages an operator over
-the permutation representation.  It is an orthogonal projector on the
-operator space End(H) with the Hilbert-Schmidt inner product, fixes
-exactly the symmetric (permutation-commuting) operators, and preserves
-trace, self-adjointness and positivity.  Two trace identities follow and
-are exposed as residual checks:
+the permutation representation; :func:`permsym.hilbert.symmetrise`
+computes entry (i, j) as the mean of A over the S_n-orbit of the index
+pair (i, j), with no pass over the group.  Sigma is an orthogonal
+projector on the operator space End(H) with the Hilbert-Schmidt inner
+product, fixes exactly the symmetric (permutation-commuting) operators,
+and preserves trace, self-adjointness and positivity.  Two trace
+identities follow and are exposed as residual checks:
 
     (a)  Tr(Sigma(W) Q) = Tr(Sigma(W) Sigma(Q))
     (b)  Tr(W Sigma(Q)) = Tr(Sigma(W) Sigma(Q))
@@ -25,18 +27,13 @@ a fixed list of observables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import hilbert
-from .hilbert import EPS_ABS, AssemblyConfig
+from .hilbert import EPS_ABS, AssemblyConfig, symmetrise
 from .sectors import SectorProjectors
-
-
-def symmetrise(config: AssemblyConfig, a: np.ndarray) -> np.ndarray:
-    """Sigma(A): the group average (1/n!) sum_pi P(pi) A P(pi)^dagger."""
-    return hilbert.group_average(config, a)
 
 
 def hs_inner(x: np.ndarray, y: np.ndarray) -> complex:
@@ -53,26 +50,6 @@ def sim_equivalent(
     observable, and conversely.
     """
     return float(np.max(np.abs(symmetrise(config, a) - symmetrise(config, b)))) <= tol
-
-
-@dataclass(frozen=True, eq=False)
-class SymClass:
-    """A ~-equivalence class, keyed by the shared Sigma-image."""
-
-    config: AssemblyConfig
-    canonical: np.ndarray = field(repr=False)
-
-    @classmethod
-    def of(cls, config: AssemblyConfig, a: np.ndarray) -> "SymClass":
-        return cls(config, symmetrise(config, a))
-
-    def contains(self, a: np.ndarray, tol: float = EPS_ABS) -> bool:
-        return (
-            float(np.max(np.abs(symmetrise(self.config, a) - self.canonical))) <= tol
-        )
-
-    def same_class(self, other: "SymClass", tol: float = EPS_ABS) -> bool:
-        return float(np.max(np.abs(self.canonical - other.canonical))) <= tol
 
 
 def verify_identity_a(config: AssemblyConfig, w: np.ndarray, q: np.ndarray) -> float:
@@ -132,6 +109,7 @@ def _validate_family(dim: int, family: list[np.ndarray], tol: float) -> None:
     for i, e in enumerate(family):
         if e.shape != (dim, dim):
             raise ValueError(f"projector {i} has shape {e.shape}, expected {(dim, dim)}")
+        hilbert._check_finite(e)
         if hilbert.selfadjoint_residual(e) > tol:
             raise ValueError(f"projector {i} is not self-adjoint within {tol}")
         for j, f in enumerate(family):
@@ -152,6 +130,7 @@ def superselect(w: np.ndarray, family: list[np.ndarray], tol: float = EPS_ABS) -
     (no signalling through superselection).
     """
     w = np.asarray(w, dtype=complex)
+    hilbert._check_finite(w)
     _validate_family(w.shape[0], [np.asarray(e, dtype=complex) for e in family], tol)
     out = np.zeros_like(w)
     for e in family:
@@ -191,11 +170,14 @@ def satisfies_ip(
 ) -> bool:
     """Invariance of the pairing: Tr(P(pi) W P(pi)^dagger Q) = Tr(W Q) for
     every pi and every supplied observable Q."""
-    w = np.asarray(w, dtype=complex)
+    w = hilbert._as_square(config, w)
+    qs = [hilbert._as_square(config, q) for q in observables]
+    pairings = [complex(np.sum(w.T * q)) for q in qs]
     for op in hilbert.all_perm_operators(config):
-        moved = op.conjugate(w)
-        for q in observables:
-            q = np.asarray(q, dtype=complex)
-            if abs(complex(np.sum(moved.T * q)) - complex(np.sum(w.T * q))) > tol:
+        # op.conjugate(w) without re-validating w once per element
+        src = op.source
+        moved = w[np.ix_(src, src)]
+        for q, pairing in zip(qs, pairings):
+            if abs(complex(np.sum(moved.T * q)) - pairing) > tol:
                 return False
     return True

@@ -76,14 +76,15 @@ def test_decompose_single_particle_is_usage_error(capsys):
     assert "n >= 2" in err
 
 
-def test_decompose_crosses_the_group_once_plus_once_per_draw(capsys, monkeypatch):
+def test_decompose_crosses_the_group_once(capsys, monkeypatch):
     crossings, draws = [], []
     enumerate_group, draw = sg.all_permutations, hb.random_observable
     monkeypatch.setattr(sg, "all_permutations", lambda n: crossings.append(n) or enumerate_group(n))
     monkeypatch.setattr(hb, "random_observable", lambda cfg, rng: draws.append(1) or draw(cfg, rng))
     code, _, _ = run_cli(capsys, ["decompose", "--n", "4", "--d", "2", "--json"])
     assert code == 0
-    assert draws and len(crossings) == 1 + len(draws)
+    # the twirl draws, but the class sums are the only pass over S_4
+    assert draws and crossings == [4]
 
 
 def test_decompose_human_output(capsys):
@@ -480,21 +481,35 @@ def test_unknown_subcommand_is_usage_error(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("error", [MemoryError(), np.linalg.LinAlgError("SVD did not converge")])
+def test_memory_and_linear_algebra_failures_exit_3(capsys, monkeypatch, error):
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(cli, "_cmd_coins", fail)
+    code, out, err = run_cli(capsys, ["coins", "--measure", "bose"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"error: {type(error).__name__}") and err.count("\n") == 1
+
+
 def test_verify_all_rejects_malformed_config():
     import permsym
 
     script = Path(__file__).resolve().parents[1] / "scripts" / "verify_all.py"
     env = dict(os.environ, PYTHONPATH=str(Path(permsym.__file__).resolve().parents[1]))
-    proc = subprocess.run(
-        [sys.executable, str(script), "--configs", "3y2"],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env=env,
-    )
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert "usage:" in proc.stderr and "3y2" in proc.stderr
+    # a malformed NxD, and a well-formed one with too few particles for the sector checks
+    for config in ["3y2", "1x4"]:
+        proc = subprocess.run(
+            [sys.executable, str(script), "--configs", config],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=env,
+        )
+        assert proc.returncode == 2, config
+        assert proc.stdout == ""
+        assert "usage:" in proc.stderr and config in proc.stderr
 
 
 def test_console_script_is_installed():

@@ -236,7 +236,7 @@ def test_is_symmetric_operator_agrees_with_the_whole_group():
     cfg = hb.AssemblyConfig(4, 2)
     rng = hb.rng_for(17)
     a = hb.random_observable(cfg, rng)
-    twirled = hb.group_average(cfg, a)
+    twirled = hb.symmetrise(cfg, a)
     # counts letter-1 slots among slots 1-3: commutes with (1 2) and (2 3), not (3 4)
     partial = np.diag([float(sum(cfg.letters(i)[:3])) for i in range(cfg.dim)]).astype(complex)
     for op, want in [(a, False), (twirled, True), (partial, False)]:
@@ -245,13 +245,29 @@ def test_is_symmetric_operator_agrees_with_the_whole_group():
 
 
 def test_group_average_lands_in_commutant():
+    """Sigma, the average over S_n, is symmetric, trace-preserving and fixes I exactly."""
     cfg = hb.AssemblyConfig(3, 2)
     rng = hb.rng_for(4)
     a = hb.random_observable(cfg, rng)
-    twirled = hb.group_average(cfg, a)
+    twirled = hb.symmetrise(cfg, a)
     assert hb.is_symmetric_operator(cfg, twirled, tol=1e-12)
     assert abs(np.trace(twirled) - np.trace(a)) < 1e-12
-    assert np.array_equal(hb.group_average(cfg, np.eye(8, dtype=complex)), np.eye(8))
+    assert np.array_equal(hb.symmetrise(cfg, np.eye(8, dtype=complex)), np.eye(8))
+
+
+def twirl_over_every_pi(cfg, a):
+    """Sigma by its definition, (1/n!) sum_pi P(pi) a P(pi)^dagger."""
+    ops = hb.all_perm_operators(cfg)
+    return sum(op.conjugate(a) for op in ops) / len(ops)
+
+
+@pytest.mark.parametrize("n,d", [(2, 2), (3, 3), (4, 2), (4, 3), (5, 2), (5, 3), (6, 2)])
+def test_symmetrise_agrees_with_the_twirl_over_every_pi(n, d):
+    cfg = hb.AssemblyConfig(n, d)
+    rng = hb.rng_for(10 * n + d)
+    # complex and not Hermitian, so no entry is tied to its transpose
+    a = rng.normal(size=(cfg.dim, cfg.dim)) + 1j * rng.normal(size=(cfg.dim, cfg.dim))
+    assert np.max(np.abs(hb.symmetrise(cfg, a) - twirl_over_every_pi(cfg, a))) <= 1e-12
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))

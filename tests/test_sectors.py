@@ -323,7 +323,7 @@ def test_classify_vector_paraparticle():
 def test_schur_scalars_on_symmetric_operator():
     cfg = hb.AssemblyConfig(3, 2)
     rays = sec.assembly_rays(cfg)
-    q = hb.group_average(cfg, hb.random_observable(cfg, hb.rng_for(3)))
+    q = hb.symmetrise(cfg, hb.random_observable(cfg, hb.rng_for(3)))
     report = sec.schur_check(q, rays)
     assert report.ok
     assert report.max_residual < 1e-10
@@ -346,5 +346,5 @@ def test_schur_check_flags_non_symmetric_operator():
 def test_twirled_operators_are_schur_scalar(seed):
     cfg = hb.AssemblyConfig(2, 2)
     rays = sec.assembly_rays(cfg)
-    q = hb.group_average(cfg, hb.random_observable(cfg, hb.rng_for(seed)))
+    q = hb.symmetrise(cfg, hb.random_observable(cfg, hb.rng_for(seed)))
     assert sec.schur_check(q, rays).ok

@@ -129,12 +129,11 @@ def test_sim_equivalence_reflexive_and_respects_twirl():
 
 def test_sym_class_membership():
     w1, w2 = underdetermined_mixture()
-    cls1 = sym.SymClass.of(COIN, w1)
-    assert cls1.contains(w2)
-    assert cls1.same_class(sym.SymClass.of(COIN, w2))
+    assert sym.sim_equivalent(COIN, w1, w2)
+    assert sym.sim_equivalent(COIN, w2, w1)
     tt = hb.basis_state(COIN, (1, 1)).projector()
-    assert not cls1.contains(tt)
-    assert not cls1.same_class(sym.SymClass.of(COIN, tt))
+    assert not sym.sim_equivalent(COIN, w1, tt)
+    assert not sym.sim_equivalent(COIN, w2, tt)
 
 
 def test_phase_family_is_one_sim_class():
@@ -274,3 +273,24 @@ def test_sp_implies_ip_for_arbitrary_observables():
     assert sym.satisfies_ip(COIN, bose, observables)
     # while the non-symmetric preimage fails IP on the same list
     assert not sym.satisfies_ip(COIN, w1, observables)
+
+
+# ---------------------------------------------------------------------------
+# non-finite input at the library entry points
+
+NAN_MATRIX = np.full((4, 4), np.nan, dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda: sym.satisfies_ip(COIN, np.eye(4) / 4, [NAN_MATRIX]),
+        lambda: sym.superselect(np.eye(4) / 4, [NAN_MATRIX]),
+        lambda: sec.classify_vector(sec.SectorProjectors.build(COIN), np.full(4, np.nan)),
+        lambda: sec.schur_check(NAN_MATRIX, sec.assembly_rays(COIN)),
+    ],
+    ids=["satisfies_ip", "superselect", "classify_vector", "schur_check"],
+)
+def test_entry_points_refuse_non_finite_input(entry):
+    with pytest.raises(ValueError, match="non-finite"):
+        entry()
