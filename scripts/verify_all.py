@@ -13,7 +13,7 @@ import math
 import sys
 import time
 
-from permsym import casebook, hilbert, models, sectors, symmetriser
+from permsym import casebook, hilbert, models, sectors, symgroup, symmetriser
 
 
 def parse_config(text: str) -> hilbert.AssemblyConfig:
@@ -65,12 +65,15 @@ def main() -> int:
             f"sym {r_s}, anti {r_a}, para {r_p}",
         )
 
-        rays = sectors.assembly_rays(config, seed=args.seed)
-        check(
-            f"generalised rays exhaust the space n={n} d={d}",
-            sum(r.dim for r in rays) == config.dim,
-            f"{len(rays)} rays",
-        )
+        rays = sectors.assembly_rays(config)
+        for shape in symgroup.partitions(n):
+            dims = [r.dim for r in rays if r.shape == shape]
+            want = symgroup.schur_at_ones(shape, d)
+            check(
+                f"rays of shape {list(shape)} n={n} d={d}",
+                dims == [symgroup.irrep_dimension(shape)] * want,
+                f"{len(dims)} rays, hook-content formula {want}",
+            )
 
         rng = hilbert.rng_for(args.seed)
         worst = 0.0

@@ -324,7 +324,8 @@ def fig3_analysis(seed: int = 0, tol: float = EPS_ABS) -> Fig3Report:
     coeff = rng.normal(size=2) + 1j * rng.normal(size=2)
     ray = plane @ (coeff / np.linalg.norm(coeff))
     orbit = np.stack([op.apply_to_vector(ray) for op in ops.values()], axis=1)
-    orbit_basis = sectors.orthonormal_columns(orbit)
+    left, singular, _ = np.linalg.svd(orbit, full_matrices=False)
+    orbit_basis = left[:, singular > 1e-10]
     plane_proj = plane @ plane.conj().T
     orbit_proj = orbit_basis @ orbit_basis.conj().T
     orbit_rank = orbit_basis.shape[1]

@@ -69,7 +69,6 @@ def _cmd_decompose(args) -> int:
     r_p = total - r_s - r_a
     components = []
     for comp in isotypic:
-        rays = sectors.generalised_rays(comp, seed=args.seed)
         components.append(
             {
                 "partition": list(comp.shape),
@@ -83,7 +82,7 @@ def _cmd_decompose(args) -> int:
                             hilbert.vector_obj(ray.basis[:, k]) for k in range(ray.dim)
                         ],
                     }
-                    for ray in rays
+                    for ray in comp.rays
                 ],
             }
         )
@@ -91,7 +90,7 @@ def _cmd_decompose(args) -> int:
         "command": "decompose",
         "n": args.n,
         "d": args.d,
-        "seed": args.seed,
+        "seed": None,
         "tolerance": sectors.EPS_RANK,
         "ranks": {"symmetric": r_s, "antisymmetric": r_a, "para": r_p},
         "components": components,
@@ -372,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="sector ranks and generalised rays")
     add_nd(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="accepted and ignored: the split draws nothing")
     p.add_argument("--json", action="store_true", help="emit the full JSON report")
     p.set_defaults(func=_cmd_decompose)
 

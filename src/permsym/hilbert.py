@@ -29,7 +29,11 @@ import numpy as np
 from . import symgroup
 from .symgroup import Permutation
 
-DIM_CAP = 2**20
+# Dense-operator budget: a complex D x D matrix takes 16 D**2 bytes, 1 GiB
+# at D = 2**13, and the sector family, Sigma and the ray bases each hold a
+# few such matrices (Sigma's pair-orbit labels add D**2 (n + 8) bytes).
+# Larger assemblies are refused before anything is allocated.
+DIM_CAP = 2**13
 EPS_NORM = 1e-10
 EPS_ABS = 1e-10
 
@@ -200,6 +204,23 @@ def basis_state(config: AssemblyConfig, letters: Sequence[int]) -> StateVector:
     return StateVector(config, v)
 
 
+def _letters(config: AssemblyConfig) -> np.ndarray:
+    """letters[k, i] = the letter in slot k+1 of the word at flat index i,
+    held in the smallest unsigned type that also holds d**2."""
+    n, d = config.n, config.d
+    return np.indices((d,) * n, dtype=np.min_scalar_type(d * d)).reshape(n, config.dim)
+
+
+def weight_blocks(config: AssemblyConfig) -> list[np.ndarray]:
+    """Flat indices grouped by letter content mu, ascending, blocks ordered
+    by first index.  Permutations keep mu, so every operator in the image
+    of C[S_n] is block-diagonal over these multinomial(n; mu)-word blocks."""
+    counts = (_letters(config)[:, :, None] == np.arange(config.d)).sum(axis=0)
+    _, first, block = np.unique(counts, axis=0, return_index=True, return_inverse=True)
+    block = block.reshape(-1)
+    return [np.flatnonzero(block == b) for b in np.argsort(first)]
+
+
 # ---------------------------------------------------------------------------
 # permutation operators
 
@@ -294,10 +315,10 @@ def _pair_orbit_labels(config: AssemblyConfig) -> np.ndarray:
 
     A permutation moves the pair letters i_k * d + j_k between slots, so
     the orbit of (i, j) is fixed by their sorted list, read here as a
-    base-d**2 number.  Labels are below D**2 <= DIM_CAP**2 = 2**40.
+    base-d**2 number.  Labels are below D**2 <= DIM_CAP**2 = 2**26.
     """
     n, d, dim = config.n, config.d, config.dim
-    letters = np.indices((d,) * n, dtype=np.min_scalar_type(d * d)).reshape(n, dim)
+    letters = _letters(config)
     pairs = np.empty((dim, dim, n), dtype=letters.dtype)
     for k in range(n):
         np.add.outer(letters[k] * d, letters[k], out=pairs[:, :, k])
@@ -378,24 +399,34 @@ def random_state(config: AssemblyConfig, rng: np.random.Generator) -> np.ndarray
 # Floats serialise via repr (shortest round-trip decimal), so
 # serialise -> parse -> serialise is byte-identical.
 
+def _pairs(x: np.ndarray) -> list[list[float]]:
+    """[[re, im], ...] of a flat complex array, as Python floats."""
+    return np.stack([x.real, x.imag], -1).tolist()
+
+
 def matrix_obj(m: np.ndarray) -> dict:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim {m.ndim}")
     rows, cols = m.shape
-    data = [[float(x.real), float(x.imag)] for x in m.reshape(-1)]
-    return {"rows": rows, "cols": cols, "data": data}
+    return {"rows": rows, "cols": cols, "data": _pairs(m.reshape(-1))}
 
 
 def matrix_to_json(m: np.ndarray) -> str:
     return json.dumps(matrix_obj(m), allow_nan=False)
 
 
+def _number(x) -> float:
+    if type(x) not in (int, float):  # JSON true and false are not numbers
+        raise TypeError(f"{x!r} is not a number")
+    return float(x)
+
+
 def _entries_from_json(data) -> np.ndarray:
     """[[re, im], ...] as a complex array of finite entries."""
     try:
-        flat = np.array([complex(re, im) for re, im in data], dtype=complex)
-    except (TypeError, ValueError) as exc:
+        flat = np.array([complex(_number(re), _number(im)) for re, im in data], dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"entries must be [re, im] pairs of numbers: {exc}") from exc
     _check_finite(flat)
     return flat
@@ -405,7 +436,7 @@ def matrix_from_json(text: str) -> np.ndarray:
     try:
         obj = json.loads(text)
         rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"bad matrix JSON: {exc}") from exc
     flat = _entries_from_json(data)
     if rows < 0 or cols < 0 or flat.size != rows * cols:
@@ -417,8 +448,7 @@ def vector_obj(v: np.ndarray) -> dict:
     v = np.asarray(v, dtype=complex)
     if v.ndim != 1:
         raise ValueError(f"expected a vector, got ndim {v.ndim}")
-    data = [[float(x.real), float(x.imag)] for x in v]
-    return {"length": v.shape[0], "data": data}
+    return {"length": v.shape[0], "data": _pairs(v)}
 
 
 def vector_to_json(v: np.ndarray) -> str:
@@ -429,7 +459,7 @@ def vector_from_json(text: str) -> np.ndarray:
     try:
         obj = json.loads(text)
         length, data = int(obj["length"]), obj["data"]
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"bad vector JSON: {exc}") from exc
     flat = _entries_from_json(data)
     if flat.size != length:

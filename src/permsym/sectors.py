@@ -1,41 +1,39 @@
 """Sector and isotypic decomposition of the assembly space under S_n.
 
-Each partition lambda of n labels an isotypic component with the
-character projector
+A permutation only moves letters between slots, so every operator in the
+image of C[S_n] is block-diagonal over the weight blocks of
+:func:`permsym.hilbert.weight_blocks` (words of one letter content mu).
+By Schur-Weyl duality a block holds one copy of S^lambda per
+Gelfand-Tsetlin pattern of shape lambda and weight mu.  Those copies,
+the generalised rays, are split off block by block with no pass over S_n
+and no random draw: each of a short list of commuting operators with
+integer spectra is compressed onto the eigenspaces of the one before,
+diagonalised, and its eigenvectors grouped by rint of the eigenvalue.
+The list is the masked transposition sums
 
-    P_lambda = (dim lambda / n!) sum_C chi_lambda(C) sum_{pi in C} P(pi),
+    T_m = sum_{k<l} P((k l)) [slots k and l both hold letters < m],  m = 2..d,
 
-read from the class sums sum_{pi in C} P(pi), which one pass over the
-group collects for all p(n) conjugacy classes C at once.  The bosonic and
-fermionic sectors are the components of the trivial and the sign
-character, E_S = P_(n) and E_A = P_(1^n); everything else is the
-paraparticle sector E_P = I - E_S - E_A.  Each component splits further
-into ``copies = rank / dim lambda`` irreducible invariant subspaces
-("generalised rays").  That finer split is not canonical when
-copies >= 2; here it is made reproducible by a seeded construction:
-compress a twirled random Hermitian operator onto the component and take
-its eigenspaces, which (generically) are exactly one irreducible copy
-each.  The twirl is the symmetriser :func:`permsym.hilbert.symmetrise`,
-a mean over pair orbits that never enumerates S_n, so the class sums
-are the only pass over the group.
+the content sums of the level-m rows of the patterns, then the central
+sum_k X_k^2 of the squared Jucys-Murphy elements X_k = sum_{j<k} P((j k)),
+which parts shapes of equal content sum such as (4,1,1) and (3,3).  Each
+final eigenspace is labelled and certified in one step: its traces on
+one representative per conjugacy class must equal a row of the character
+table, which on an invariant span gives <chi, chi> = 1, and its
+invariance residual must stay below EPS_ABS; a failure raises
+:class:`DecompositionError`.  Invariance is asked of the n-1 adjacent
+transpositions only: they generate S_n, and a residual r on them bounds
+that of any pi by l(pi) r, l(pi) <= C(n, 2) its length as a word in them.
 
-Every returned ray is certified invariant, and irreducible via the
-commutant of the compressed representation.  Both certificates ask only
-the n-1 adjacent transpositions (k k+1), and that is the same guarantee
-as asking every pi: they generate S_n, so a subspace invariant under
-them is invariant under the group, and the commutant of a group is the
-commutant of a generating set.  A residual r on the generators bounds
-the residual of any pi by l(pi) r, where l(pi) <= C(n, 2) is its length
-as a word in them.
-
-Ranks are read off eigenvalues (count above 1/2, tolerance EPS_RANK).
-The three-sector family requires n >= 2: for a single particle the sign
-character coincides with the trivial one, so E_S = E_A and the family
-would not partition the identity.
+An isotypic component is the sum of its rays, counted against the
+hook-content formula s_lambda(1^d).  The sector projectors are closed
+forms on the same blocks: E_S = J / |block|, E_A = s s^T / n! on blocks
+of n distinct letters (s the sign of each word), E_P = I - E_S - E_A.
+They need n >= 2: for one particle the sign character is trivial.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -48,30 +46,7 @@ EPS_RANK = 1e-8
 
 
 class DecompositionError(RuntimeError):
-    """Seeded ray extraction failed to certify an irreducible split."""
-
-
-def _class_sums(config: AssemblyConfig) -> dict[tuple[int, ...], np.ndarray]:
-    """sum_{pi in C} P(pi) for every conjugacy class C, keyed by cycle type,
-    from one pass over S_n.  Entries are counts, kept as real float64."""
-    dim = config.dim
-    cols = np.arange(dim)
-    sums = {c.cycle_type: np.zeros((dim, dim)) for c in symgroup.conjugacy_classes(config.n)}
-    for p in symgroup.all_permutations(config.n):
-        sums[p.cycle_type()][hilbert.perm_operator(config, p).target, cols] += 1.0
-    return sums
-
-
-def _character_projector(
-    config: AssemblyConfig, shape: tuple[int, ...], sums: dict[tuple[int, ...], np.ndarray]
-) -> np.ndarray:
-    if sum(shape) != config.n:
-        raise ValueError(f"partition {shape} does not partition n = {config.n}")
-    acc = np.zeros((config.dim, config.dim))
-    for cycle_type, class_sum in sums.items():
-        acc += symgroup.character(shape, cycle_type) * class_sum
-    scale = symgroup.irrep_dimension(shape) / math.factorial(config.n)
-    return (acc * scale).astype(complex)
+    """A block eigenspace failed its certificate as an irreducible ray."""
 
 
 def projector_rank(p: np.ndarray, tol: float = EPS_RANK) -> int:
@@ -97,76 +72,37 @@ class SectorProjectors:
 
     @classmethod
     def build(cls, config: AssemblyConfig) -> "SectorProjectors":
-        if config.n < 2:
+        """E_S[i, j] = [i, j in one block] / |block|; E_A[i, j] =
+        sgn(i) sgn(j) / n! when words i and j are orderings of the same n
+        distinct letters, sgn the parity of a word's inversions."""
+        n, dim = config.n, config.dim
+        if n < 2:
             raise ValueError(
                 "sector family needs n >= 2 (for n = 1 the symmetric and "
                 "antisymmetric projectors coincide)"
             )
-        sums = _class_sums(config)
-        e_s = _character_projector(config, (config.n,), sums)
-        e_a = _character_projector(config, (1,) * config.n, sums)
-        e_p = np.eye(config.dim, dtype=complex) - e_s - e_a
+        letters = hilbert._letters(config)
+        inversions = sum(letters[k] > letters[l] for k, l in itertools.combinations(range(n), 2))
+        sign = 1.0 - 2.0 * (inversions % 2)
+        e_s = np.zeros((dim, dim), dtype=complex)
+        e_a = np.zeros((dim, dim), dtype=complex)
+        for index in hilbert.weight_blocks(config):
+            block = np.ix_(index, index)
+            e_s[block] = 1.0 / len(index)
+            if len(index) == math.factorial(n):  # multinomial(n; mu) = n! only for distinct letters
+                e_a[block] = np.outer(sign[index], sign[index]) / len(index)
+        e_p = np.eye(dim, dtype=complex) - e_s - e_a
         return cls(config, e_s, e_a, e_p)
 
     def ranks(self) -> tuple[int, int, int]:
-        return (
-            projector_rank(self.symmetric),
-            projector_rank(self.antisymmetric),
-            projector_rank(self.para),
-        )
+        return tuple(projector_rank(p) for p in self.family())
 
     def family(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return (self.symmetric, self.antisymmetric, self.para)
 
 
 # ---------------------------------------------------------------------------
-# isotypic components and generalised rays
-
-@dataclass(frozen=True, eq=False)
-class IsotypicComponent:
-    """Image of the character projector for one partition of n."""
-
-    config: AssemblyConfig
-    shape: tuple[int, ...]
-    projector: np.ndarray = field(repr=False)
-    rank: int
-    dim_irrep: int
-
-    @property
-    def copies(self) -> int:
-        return self.rank // self.dim_irrep
-
-
-def isotypic_projector(config: AssemblyConfig, shape: tuple[int, ...]) -> np.ndarray:
-    """P_lambda = (dim lambda / n!) sum_C chi_lambda(C) sum_{pi in C} P(pi)."""
-    return _character_projector(config, tuple(shape), _class_sums(config))
-
-
-def _component(
-    config: AssemblyConfig, shape: tuple[int, ...], proj: np.ndarray
-) -> IsotypicComponent:
-    rank = projector_rank(proj)
-    dim = symgroup.irrep_dimension(shape)
-    if rank % dim != 0:
-        raise DecompositionError(
-            f"isotypic rank {rank} not a multiple of irrep dimension {dim}"
-        )
-    return IsotypicComponent(config, shape, proj, rank, dim)
-
-
-def isotypic_component(config: AssemblyConfig, shape: tuple[int, ...]) -> IsotypicComponent:
-    shape = tuple(shape)
-    return _component(config, shape, isotypic_projector(config, shape))
-
-
-def all_isotypic(config: AssemblyConfig) -> list[IsotypicComponent]:
-    """Every isotypic component, from one pass over S_n."""
-    sums = _class_sums(config)
-    return [
-        _component(config, lam, _character_projector(config, lam, sums))
-        for lam in symgroup.partitions(config.n)
-    ]
-
+# generalised rays and isotypic components
 
 @dataclass(frozen=True, eq=False)
 class GeneralisedRay:
@@ -188,38 +124,30 @@ class GeneralisedRay:
         return self.basis.conj().T @ a @ self.basis
 
 
-def orthonormal_columns(vectors: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Modified Gram-Schmidt with one re-orthogonalization pass; columns
-    that deflate below tol are dropped."""
-    vs = np.asarray(vectors, dtype=complex)
-    out: list[np.ndarray] = []
-    for j in range(vs.shape[1]):
-        v = vs[:, j].copy()
-        for _ in range(2):
-            for u in out:
-                v -= u * (u.conj() @ v)
-        norm = float(np.linalg.norm(v))
-        if norm > tol:
-            out.append(v / norm)
-    if not out:
-        return np.zeros((vs.shape[0], 0), dtype=complex)
-    return np.stack(out, axis=1)
+@dataclass(frozen=True, eq=False)
+class IsotypicComponent:
+    """The lambda-isotypic component, as the direct sum of its rays."""
 
+    config: AssemblyConfig
+    shape: tuple[int, ...]
+    rays: tuple[GeneralisedRay, ...] = field(repr=False)
 
-def _component_basis(component: IsotypicComponent) -> np.ndarray:
-    eigvals, eigvecs = np.linalg.eigh(component.projector)
-    keep = eigvals > 0.5
-    return eigvecs[:, keep]
+    @property
+    def dim_irrep(self) -> int:
+        return symgroup.irrep_dimension(self.shape)
 
+    @property
+    def copies(self) -> int:
+        return len(self.rays)
 
-def _cluster(eigs: np.ndarray, gap: float) -> list[list[int]]:
-    groups: list[list[int]] = [[0]]
-    for i in range(1, len(eigs)):
-        if eigs[i] - eigs[i - 1] > gap:
-            groups.append([i])
-        else:
-            groups[-1].append(i)
-    return groups
+    @property
+    def rank(self) -> int:
+        return self.copies * self.dim_irrep
+
+    @property
+    def projector(self) -> np.ndarray:
+        """P_lambda, the sum of the ray projectors."""
+        return sum((ray.projector() for ray in self.rays), np.zeros((self.config.dim,) * 2, complex))
 
 
 def invariance_residual(config: AssemblyConfig, basis: np.ndarray) -> float:
@@ -241,89 +169,102 @@ def invariance_residual(config: AssemblyConfig, basis: np.ndarray) -> float:
     return worst
 
 
+def _character(config: AssemblyConfig, basis: np.ndarray) -> np.ndarray:
+    """Tr B^dagger P(c) B for one representative c of each conjugacy class,
+    in the column order of :func:`permsym.symgroup.character_table`."""
+    reps = [c.representative for c in symgroup.conjugacy_classes(config.n)]
+    return np.array([np.vdot(basis[hilbert.perm_operator(config, c).target], basis) for c in reps])
+
+
 def compressed_commutant_dimension(config: AssemblyConfig, basis: np.ndarray) -> int:
-    """Dimension of {X : [X, B^dagger P(s) B] = 0 for every adjacent
-    transposition s = (k k+1)}.
+    """Dimension of the commutant of the representation of S_n compressed
+    onto an invariant span(B), read from the character norm
 
-    The commutant of a group is the commutant of a generating set, so on
-    an invariant span(B) this is the commutant of the compressed
-    representation of S_n, of dimension 1 exactly when it is irreducible
-    (Schur).  Uses row-major vec: vec(XM - MX) = (I kron M^T - M kron I) vec(X).
+        <chi, chi> = (1/n!) sum_C |C| |chi(C)|^2 = sum_lambda m_lambda^2,
+
+    which is 1 exactly when the span is irreducible (Schur).  The value is
+    only meaningful once :func:`invariance_residual` has certified the span.
     """
-    k = basis.shape[1]
-    eye = np.eye(k)
-    rows = [np.zeros((0, k * k))]  # S_1 has no generators
-    for op in hilbert.generator_operators(config):
-        moved = np.empty_like(basis)
-        moved[op.target, :] = basis
-        m = basis.conj().T @ moved
-        rows.append(np.kron(eye, m.T) - np.kron(m, eye))
-    svals = np.linalg.svd(np.concatenate(rows, axis=0), compute_uv=False)
-    return k * k - int(np.sum(svals >= 1e-10 * max(1.0, svals.max(initial=0.0))))
+    sizes = np.array([c.size for c in symgroup.conjugacy_classes(config.n)])
+    norm = float(sizes @ np.abs(_character(config, basis)) ** 2) / math.factorial(config.n)
+    return round(norm)
 
 
-def generalised_rays(
-    component: IsotypicComponent, seed: int = 0, max_attempts: int = 8
-) -> list[GeneralisedRay]:
-    """Split an isotypic component into irreducible invariant subspaces.
+def _block_operators(config: AssemblyConfig, index: np.ndarray) -> list[np.ndarray]:
+    """The refining operators of one weight block, as dense real matrices
+    on its words: T_2, ..., T_d, then sum_k X_k^2."""
+    n, b = config.n, len(index)
+    letters = hilbert._letters(config)[:, index]
+    local = np.full(config.dim, -1)
+    local[index] = np.arange(b)
+    swaps = {
+        (k, l): local[hilbert.perm_operator(config, symgroup.from_cycles(n, [(k + 1, l + 1)])).target[index]]
+        for k, l in itertools.combinations(range(n), 2)
+    }
 
-    Reproducible but not canonical for copies >= 2 (any unitary mix of
-    copies is an equally valid split): a twirled random Hermitian operator
-    lies in the commutant of the representation, so on the component it
-    acts as a Hermitian m x m matrix per copy; generically its eigenvalues
-    are distinct and each eigenspace is exactly one copy.  Retries with
-    fresh draws if the eigenvalue clusters come out wrong; every ray is
-    certified invariant and irreducible before being returned.
+    def swap_sum(pairs, below: int) -> np.ndarray:
+        op = np.zeros((b, b))
+        for k, l in pairs:
+            keep = np.flatnonzero((letters[k] < below) & (letters[l] < below))
+            op[swaps[k, l][keep], keep] += 1.0
+        return op
+
+    ops = [swap_sum(swaps, m) for m in range(2, config.d + 1)]
+    jucys_murphy = [swap_sum([(j, k) for j in range(k)], config.d) for k in range(1, n)]
+    ops.append(sum((x @ x for x in jucys_murphy), np.zeros((b, b))))
+    return ops
+
+
+def assembly_rays(config: AssemblyConfig) -> list[GeneralisedRay]:
+    """All generalised rays of the assembly, grouped by partition in the
+    order of :func:`permsym.symgroup.partitions`, each certified.
+
+    Raises :class:`DecompositionError` when a joint eigenspace of a weight
+    block is not invariant or its character is not irreducible.
     """
-    config = component.config
-    if component.rank == 0:
-        return []
-    basis = _component_basis(component)
-
-    def finish(ray_bases: list[np.ndarray]) -> list[GeneralisedRay]:
-        rays = []
-        for rb in ray_bases:
-            res = invariance_residual(config, rb)
-            if res > EPS_ABS:
+    table = symgroup.character_table(config.n)
+    characters = np.array(table.values)
+    rays: list[GeneralisedRay] = []
+    for index in hilbert.weight_blocks(config):
+        spaces = [np.eye(len(index))]
+        for op in _block_operators(config, index):
+            finer = []
+            for v in spaces:
+                eigvals, eigvecs = np.linalg.eigh(v.T @ op @ v)
+                labels = np.rint(eigvals)
+                finer += [v @ eigvecs[:, labels == label] for label in np.unique(labels)]
+            spaces = finer
+        for v in spaces:
+            basis = np.zeros((config.dim, v.shape[1]), dtype=complex)
+            basis[index] = v
+            error = np.abs(characters - _character(config, basis)).max(axis=1)
+            row = int(np.argmin(error))
+            residual = invariance_residual(config, basis)
+            if error[row] > EPS_ABS or residual > EPS_ABS:
                 raise DecompositionError(
-                    f"candidate ray not invariant: residual {res}"
+                    f"a {v.shape[1]}-dimensional eigenspace is no certified ray: character error "
+                    f"{error[row]:.3g} against {table.irrep_labels[row]}, invariance residual {residual:.3g}"
                 )
-            if compressed_commutant_dimension(config, rb) != 1:
-                raise DecompositionError("candidate ray is reducible")
-            rays.append(GeneralisedRay(config, component.shape, rb))
-        return rays
+            rays.append(GeneralisedRay(config, table.irrep_labels[row], basis))
+    order = {shape: k for k, shape in enumerate(table.irrep_labels)}
+    return sorted(rays, key=lambda ray: order[ray.shape])
 
-    if component.copies == 1:
-        return finish([basis])
 
-    rng = hilbert.rng_for(seed)
-    last_error: DecompositionError | None = None
-    for _ in range(max_attempts):
-        twirled = hilbert.symmetrise(config, hilbert.random_observable(config, rng))
-        compressed = basis.conj().T @ twirled @ basis
-        eigvals, eigvecs = np.linalg.eigh(compressed)
-        scale = max(1.0, float(eigvals[-1] - eigvals[0]))
-        groups = _cluster(eigvals, gap=1e-6 * scale)
-        if len(groups) != component.copies or any(
-            len(g) != component.dim_irrep for g in groups
-        ):
-            last_error = DecompositionError(
-                f"eigenvalue clusters {[len(g) for g in groups]} do not match "
-                f"{component.copies} copies of dimension {component.dim_irrep}"
+def all_isotypic(config: AssemblyConfig) -> list[IsotypicComponent]:
+    """Every isotypic component, in the order of
+    :func:`permsym.symgroup.partitions`, as the rays of
+    :func:`assembly_rays` grouped by shape.  The ray count of each shape
+    is checked against the hook-content formula s_lambda(1^d)."""
+    rays = assembly_rays(config)
+    out = []
+    for shape in symgroup.partitions(config.n):
+        component = IsotypicComponent(config, shape, tuple(r for r in rays if r.shape == shape))
+        want = symgroup.schur_at_ones(shape, config.d)
+        if component.copies != want:
+            raise DecompositionError(
+                f"{component.copies} rays of shape {shape}, but s_lambda(1^d) = {want}"
             )
-            continue
-        try:
-            return finish([basis @ eigvecs[:, g] for g in groups])
-        except DecompositionError as exc:
-            last_error = exc
-    raise last_error if last_error is not None else DecompositionError("no attempts ran")
-
-
-def assembly_rays(config: AssemblyConfig, seed: int = 0) -> list[GeneralisedRay]:
-    """All generalised rays of the assembly, grouped by partition."""
-    out: list[GeneralisedRay] = []
-    for component in all_isotypic(config):
-        out.extend(generalised_rays(component, seed=seed))
+        out.append(component)
     return out
 
 

@@ -291,6 +291,19 @@ def irrep_dimension(shape: tuple[int, ...]) -> int:
     return character(shape, (1,) * n)
 
 
+def schur_at_ones(shape: tuple[int, ...], d: int) -> int:
+    """s_shape(1^d): the number of semistandard tableaux of the shape with
+    entries in 1..d, which is the multiplicity of the irrep in (C^d)^{x n},
+    by the hook-content formula prod over boxes (d + content) / hook."""
+    num = den = 1
+    for i, part in enumerate(shape):
+        for j in range(part):
+            below = sum(1 for other in shape[i + 1 :] if other > j)
+            num *= d + j - i
+            den *= part - j + below
+    return num // den
+
+
 @dataclass(frozen=True)
 class CharacterTable:
     """Exact character table of S_n.

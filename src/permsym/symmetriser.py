@@ -169,7 +169,13 @@ def satisfies_ip(
     tol: float = EPS_ABS,
 ) -> bool:
     """Invariance of the pairing: Tr(P(pi) W P(pi)^dagger Q) = Tr(W Q) for
-    every pi and every supplied observable Q."""
+    every pi and every supplied observable Q.
+
+    This is the one pass over all n! permutations that stays: the set of
+    pi that leave every pairing unchanged is not closed under composition
+    (pi and rho may each keep Tr(. Q) while pi rho does not), so checking
+    the generators of S_n would not suffice.
+    """
     w = hilbert._as_square(config, w)
     qs = [hilbert._as_square(config, q) for q in observables]
     pairings = [complex(np.sum(w.T * q)) for q in qs]

@@ -1,5 +1,6 @@
 """Command-line surface: outputs, determinism, exit codes."""
 
+import contextlib
 import io
 import json
 import math
@@ -10,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from permsym import cli
 from permsym import hilbert as hb
@@ -76,15 +79,42 @@ def test_decompose_single_particle_is_usage_error(capsys):
     assert "n >= 2" in err
 
 
-def test_decompose_crosses_the_group_once(capsys, monkeypatch):
+def test_sector_commands_never_cross_the_group(capsys, monkeypatch):
     crossings, draws = [], []
-    enumerate_group, draw = sg.all_permutations, hb.random_observable
+    enumerate_group, rng_for = sg.all_permutations, hb.rng_for
     monkeypatch.setattr(sg, "all_permutations", lambda n: crossings.append(n) or enumerate_group(n))
-    monkeypatch.setattr(hb, "random_observable", lambda cfg, rng: draws.append(1) or draw(cfg, rng))
+    monkeypatch.setattr(hb, "rng_for", lambda seed: draws.append(seed) or rng_for(seed))
     code, _, _ = run_cli(capsys, ["decompose", "--n", "4", "--d", "2", "--json"])
     assert code == 0
-    # the twirl draws, but the class sums are the only pass over S_4
-    assert draws and crossings == [4]
+    v = np.full(16, 0.25, dtype=complex)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(hb.vector_to_json(v)))
+    code, _, _ = run_cli(capsys, ["classify", "--n", "4", "--d", "2", "--input", "-"])
+    assert code == 0
+    monkeypatch.setattr(sys, "stdin", io.StringIO(hb.matrix_to_json(np.eye(16) / 16)))
+    code, _, _ = run_cli(capsys, ["superselect", "--n", "4", "--d", "2", "--input", "-"])
+    assert code == 0
+    # weight blocks and closed forms: no pass over S_4 and no random draw
+    assert crossings == [] and draws == []
+
+
+def test_decompose_ignores_the_seed(capsys):
+    outputs = [
+        run_cli(capsys, ["decompose", "--n", "4", "--d", "3", *seed, "--json"])[1]
+        for seed in (["--seed", "0"], ["--seed", "5"], [])
+    ]
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert json.loads(outputs[0])["seed"] is None
+
+
+@pytest.mark.parametrize("n,d", [(7, 4), (8, 5)])
+@pytest.mark.parametrize("command", ["decompose", "classify"])
+def test_assemblies_past_the_dense_budget_are_usage_errors(capsys, command, n, d):
+    # refused by AssemblyConfig before any operator or input is read
+    argv = [command, "--n", str(n), "--d", str(d)] + (["--input", "-"] if command == "classify" else [])
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "exceeds cap" in err
 
 
 def test_decompose_human_output(capsys):
@@ -521,3 +551,102 @@ def test_console_script_is_installed():
     )
     assert proc.returncode == 0
     assert proc.stdout == '{"HH": "1/3", "mixed": "1/3", "TT": "1/3"}\n'
+
+
+# ---------------------------------------------------------------------------
+# the JSON readers, fuzzed: every malformed payload is a ValueError in the
+# library and exit 2 with empty stdout on the command line
+
+NUMBER = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-(10**6), 10**6)
+PAIR = st.tuples(NUMBER, NUMBER).map(list)
+BAD_SCALAR = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 10**400]),  # 10**400 overflows a float
+    st.booleans(),
+    st.none(),
+    st.text(max_size=3),
+    st.lists(NUMBER, max_size=2),
+)
+BAD_ENTRY = st.one_of(
+    st.tuples(BAD_SCALAR, NUMBER).map(list),
+    st.tuples(NUMBER, BAD_SCALAR).map(list),
+    st.lists(NUMBER, max_size=4).filter(lambda entry: len(entry) != 2),  # ragged
+    NUMBER,
+    st.none(),
+    st.text(max_size=3),
+    st.dictionaries(st.text(max_size=2), NUMBER, max_size=3),
+)
+BAD_HEADER = st.one_of(st.none(), st.text(max_size=3), st.lists(NUMBER, max_size=2), st.just(math.inf))
+
+
+@st.composite
+def bad_data(draw):
+    """A list of [re, im] pairs with one malformed entry somewhere in it."""
+    entries = draw(st.lists(PAIR, max_size=5))
+    entries.insert(draw(st.integers(0, len(entries))), draw(BAD_ENTRY))
+    return entries
+
+
+@st.composite
+def malformed_vectors(draw):
+    kind = draw(st.sampled_from(["entry", "length", "data", "header", "shape"]))
+    entries = draw(st.lists(PAIR, max_size=5))
+    obj = {"length": len(entries), "data": entries}
+    if kind == "entry":
+        obj["data"] = draw(bad_data())
+        obj["length"] = len(obj["data"])
+    elif kind == "length":
+        obj["length"] = draw(st.integers(-3, 8).filter(lambda k: k != len(entries)))
+    elif kind == "data":
+        obj["data"] = draw(st.one_of(NUMBER, st.none(), st.lists(st.none(), min_size=1, max_size=3)))
+    elif kind == "header":
+        obj["length"] = draw(BAD_HEADER)
+    else:
+        obj = draw(st.one_of(st.lists(PAIR, max_size=3), NUMBER, st.just({"data": entries})))
+    return json.dumps(obj)
+
+
+@st.composite
+def malformed_matrices(draw):
+    kind = draw(st.sampled_from(["entry", "length", "data", "header", "shape"]))
+    rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    entries = draw(st.lists(PAIR, min_size=rows * cols, max_size=rows * cols))
+    obj = {"rows": rows, "cols": cols, "data": entries}
+    if kind == "entry":
+        obj["data"] = draw(bad_data())
+        obj["rows"], obj["cols"] = 1, len(obj["data"])
+    elif kind == "length":
+        obj["data"] = draw(st.lists(PAIR, max_size=10).filter(lambda e: len(e) != rows * cols))
+    elif kind == "data":
+        obj["data"] = draw(st.one_of(NUMBER, st.none(), st.lists(st.none(), min_size=1, max_size=3)))
+    elif kind == "header":
+        obj[draw(st.sampled_from(["rows", "cols"]))] = draw(BAD_HEADER)
+    else:
+        obj = draw(st.one_of(st.lists(PAIR, max_size=3), NUMBER, st.just({"rows": rows, "data": entries})))
+    return json.dumps(obj)
+
+
+def run_with_stdin(argv, text):
+    """cli.run with text on stdin, returning (exit code, stdout)."""
+    out, saved = io.StringIO(), sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.run(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue()
+
+
+@given(malformed_vectors())
+def test_vector_reader_refuses_malformed_json(text):
+    with pytest.raises(ValueError):
+        hb.vector_from_json(text)
+    assert run_with_stdin(["classify", "--n", "2", "--d", "2", "--input", "-"], text) == (2, "")
+
+
+@given(malformed_matrices())
+def test_matrix_reader_refuses_malformed_json(text):
+    with pytest.raises(ValueError):
+        hb.matrix_from_json(text)
+    for command in ("symmetrise", "superselect"):
+        assert run_with_stdin([command, "--n", "2", "--d", "2", "--input", "-"], text) == (2, "")

@@ -24,9 +24,10 @@ def heads_count(config):
 def test_config_validation_and_dim_cap():
     cfg = hb.AssemblyConfig(3, 2)
     assert cfg.dim == 8
-    hb.AssemblyConfig(20, 2)  # exactly at the cap
-    with pytest.raises(ValueError):
-        hb.AssemblyConfig(21, 2)
+    hb.AssemblyConfig(13, 2)  # exactly at the cap
+    for n, d in [(14, 2), (7, 4), (8, 5)]:
+        with pytest.raises(ValueError):
+            hb.AssemblyConfig(n, d)
     with pytest.raises(ValueError):
         hb.AssemblyConfig(0, 2)
     with pytest.raises(ValueError):
@@ -298,6 +299,43 @@ def test_vector_json_roundtrip_bit_exact():
     again = hb.vector_from_json(text)
     assert hb.vector_to_json(again) == text
     assert np.array_equal(again, v.astype(complex))
+
+
+def test_json_writers_match_the_per_entry_form():
+    # one np.stack(...).tolist() writes the same bytes as the per-entry
+    # float() comprehension it replaced, extreme and signed-zero values too
+    rng = hb.rng_for(2024)
+    values = np.concatenate(
+        [
+            [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 2.2250738585072014e-308, 1 / 3],
+            rng.normal(size=100_000) * 10.0 ** rng.integers(-300, 300, size=100_000),
+        ]
+    )
+    z = values + 1j * values[::-1]
+    m = z.reshape(-1, 4)
+    assert json.dumps(hb.vector_obj(z)["data"]) == json.dumps([[float(x.real), float(x.imag)] for x in z])
+    assert json.dumps(hb.matrix_obj(m)["data"]) == json.dumps(
+        [[float(x.real), float(x.imag)] for x in m.reshape(-1)]
+    )
+
+
+@pytest.mark.parametrize("n,d", [(1, 3), (3, 2), (3, 3), (4, 3), (5, 2)])
+def test_weight_blocks_group_indices_by_letter_content(n, d):
+    cfg = hb.AssemblyConfig(n, d)
+    blocks = hb.weight_blocks(cfg)
+    assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(cfg.dim))
+    assert [b[0] for b in blocks] == sorted(b[0] for b in blocks)
+    assert len(blocks) == math.comb(n + d - 1, n)
+    for block in blocks:
+        contents = {tuple(sorted(cfg.letters(int(i)))) for i in block}
+        assert len(contents) == 1
+        (word,) = contents
+        size = math.factorial(n)
+        for letter in set(word):
+            size //= math.factorial(word.count(letter))
+        assert len(block) == size
+        for op in hb.generator_operators(cfg):
+            assert np.array_equal(np.sort(op.target[block]), block)
 
 
 def test_json_error_paths():

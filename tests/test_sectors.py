@@ -1,4 +1,4 @@
-"""Sector projectors, isotypic components, seeded irreducible rays."""
+"""Sector projectors, isotypic components, irreducible rays from weight blocks."""
 
 import math
 
@@ -88,6 +88,30 @@ def test_two_coin_sector_projectors_exact():
 
 
 # ---------------------------------------------------------------------------
+# oracles: the class-sum character projectors over every pi
+
+def class_sum_projector(cfg, shape):
+    """P_lambda = (dim lambda / n!) sum_pi chi_lambda(pi) P(pi), one pass over S_n."""
+    acc = np.zeros((cfg.dim, cfg.dim))
+    cols = np.arange(cfg.dim)
+    for op in hb.all_perm_operators(cfg):
+        acc[op.target, cols] += sg.character(shape, op.perm.cycle_type())
+    return acc * sg.irrep_dimension(shape) / math.factorial(cfg.n)
+
+
+def tensor_power_multiplicity(shape, d):
+    """Multiplicity of chi_lambda in the character pi -> d**cycles(pi) of (C^d)^{x n}."""
+    n = sum(shape)
+    total = sum(c.size * sg.character(shape, c.cycle_type) * d ** len(c.cycle_type) for c in sg.conjugacy_classes(n))
+    assert total % math.factorial(n) == 0
+    return total // math.factorial(n)
+
+
+def components_by_shape(cfg):
+    return {c.shape: c for c in sec.all_isotypic(cfg)}
+
+
+# ---------------------------------------------------------------------------
 # isotypic components
 
 def test_isotypic_projectors_resolve_identity():
@@ -104,7 +128,7 @@ def test_isotypic_projectors_resolve_identity():
 
 def test_isotypic_ranks_three_coins():
     cfg = hb.AssemblyConfig(3, 2)
-    by_shape = {c.shape: c for c in sec.all_isotypic(cfg)}
+    by_shape = components_by_shape(cfg)
     assert by_shape[(3,)].rank == 4
     assert by_shape[(2, 1)].rank == 4
     assert by_shape[(1, 1, 1)].rank == 0
@@ -130,22 +154,36 @@ def test_isotypic_ranks_four_slots_dim_two():
 def test_isotypic_matches_sector_projectors():
     cfg = hb.AssemblyConfig(3, 3)
     fam = sec.SectorProjectors.build(cfg)
-    assert np.max(np.abs(sec.isotypic_projector(cfg, (3,)) - fam.symmetric)) < 1e-12
-    assert np.max(np.abs(sec.isotypic_projector(cfg, (1, 1, 1)) - fam.antisymmetric)) < 1e-12
-    assert np.max(np.abs(sec.isotypic_projector(cfg, (2, 1)) - fam.para)) < 1e-12
+    by_shape = components_by_shape(cfg)
+    assert np.max(np.abs(by_shape[(3,)].projector - fam.symmetric)) < 1e-12
+    assert np.max(np.abs(by_shape[(1, 1, 1)].projector - fam.antisymmetric)) < 1e-12
+    assert np.max(np.abs(by_shape[(2, 1)].projector - fam.para)) < 1e-12
 
 
 def test_isotypic_projector_commutes_with_representation():
     cfg = hb.AssemblyConfig(3, 2)
-    p = sec.isotypic_projector(cfg, (2, 1))
+    p = components_by_shape(cfg)[(2, 1)].projector
     for op in hb.all_perm_operators(cfg):
         assert np.max(np.abs(op.conjugate(p) - p)) < 1e-12
 
 
-def test_isotypic_rejects_non_partition():
-    cfg = hb.AssemblyConfig(3, 2)
-    with pytest.raises(ValueError):
-        sec.isotypic_projector(cfg, (2, 2))
+ORACLE_CONFIGS = [(2, 2), (3, 2), (4, 2), (5, 2), (6, 2), (3, 3), (4, 3), (4, 4)]
+
+
+@pytest.mark.parametrize("n,d", ORACLE_CONFIGS)
+def test_weight_block_split_agrees_with_the_class_sum_oracle(n, d):
+    cfg = hb.AssemblyConfig(n, d)
+    fam = sec.SectorProjectors.build(cfg)
+    assert np.max(np.abs(fam.symmetric - class_sum_projector(cfg, (n,)))) <= 1e-15
+    assert np.max(np.abs(fam.antisymmetric - class_sum_projector(cfg, (1,) * n))) <= 1e-15
+    for comp in sec.all_isotypic(cfg):
+        shape = comp.shape
+        assert np.max(np.abs(comp.projector - class_sum_projector(cfg, shape))) <= 1e-12
+        assert comp.copies == tensor_power_multiplicity(shape, d)
+        for ray in comp.rays:
+            assert ray.shape == shape and ray.dim == sg.irrep_dimension(shape)
+            assert full_group_invariance_residual(cfg, ray.basis) <= hb.EPS_ABS
+            assert full_group_commutant_dimension(cfg, ray.basis) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -153,32 +191,29 @@ def test_isotypic_rejects_non_partition():
 
 def test_single_copy_component_is_its_own_ray():
     cfg = hb.AssemblyConfig(3, 3)
-    comp = sec.isotypic_component(cfg, (1, 1, 1))
+    comp = components_by_shape(cfg)[(1, 1, 1)]
     assert comp.copies == 1
-    rays = sec.generalised_rays(comp)
-    assert len(rays) == 1
-    assert rays[0].dim == 1
-    assert np.max(np.abs(rays[0].projector() - comp.projector)) < 1e-10
+    assert len(comp.rays) == 1
+    assert comp.rays[0].dim == 1
+    assert np.max(np.abs(comp.rays[0].projector() - class_sum_projector(cfg, (1, 1, 1)))) < 1e-10
 
 
 def test_bosonic_component_splits_into_ordinary_rays():
     # the trivial irrep is one-dimensional, so the symmetric component of
     # three coins is four ordinary rays
     cfg = hb.AssemblyConfig(3, 2)
-    comp = sec.isotypic_component(cfg, (3,))
-    rays = sec.generalised_rays(comp)
+    rays = components_by_shape(cfg)[(3,)].rays
     assert [r.dim for r in rays] == [1, 1, 1, 1]
     total = sum(r.projector() for r in rays)
-    assert np.max(np.abs(total - comp.projector)) < 1e-10
+    assert np.max(np.abs(total - class_sum_projector(cfg, (3,)))) < 1e-10
 
 
 def test_multi_copy_split_three_coins():
     cfg = hb.AssemblyConfig(3, 2)
-    comp = sec.isotypic_component(cfg, (2, 1))
-    rays = sec.generalised_rays(comp, seed=0)
+    rays = components_by_shape(cfg)[(2, 1)].rays
     assert [r.dim for r in rays] == [2, 2]
     total = sum(r.projector() for r in rays)
-    assert np.max(np.abs(total - comp.projector)) < 1e-10
+    assert np.max(np.abs(total - class_sum_projector(cfg, (2, 1)))) < 1e-10
     # pairwise orthogonal
     assert np.max(np.abs(rays[0].basis.conj().T @ rays[1].basis)) < 1e-10
     for r in rays:
@@ -186,16 +221,31 @@ def test_multi_copy_split_three_coins():
         assert sec.compressed_commutant_dimension(cfg, r.basis) == 1
 
 
-def test_ray_split_is_seed_deterministic():
-    cfg = hb.AssemblyConfig(3, 2)
-    comp = sec.isotypic_component(cfg, (2, 1))
-    a = sec.generalised_rays(comp, seed=7)
-    b = sec.generalised_rays(comp, seed=7)
+def test_ray_split_is_deterministic():
+    cfg = hb.AssemblyConfig(4, 3)
+    a = sec.assembly_rays(cfg)
+    b = sec.assembly_rays(cfg)
+    assert [r.shape for r in a] == [r.shape for r in b]
     for ra, rb in zip(a, b):
         assert np.array_equal(ra.basis, rb.basis)
-    # a different seed still splits the same subspace
-    c = sec.generalised_rays(comp, seed=8)
-    assert np.max(np.abs(sum(r.projector() for r in a) - sum(r.projector() for r in c))) < 1e-9
+
+
+@pytest.mark.parametrize("n,d,count", [(6, 3, 119), (8, 2, 25)])
+def test_ray_counts_of_the_larger_assemblies(n, d, count):
+    cfg = hb.AssemblyConfig(n, d)
+    rays = sec.assembly_rays(cfg)
+    assert len(rays) == count
+    assert sum(r.dim for r in rays) == cfg.dim
+
+
+def test_an_unsplit_eigenspace_fails_its_certificate(monkeypatch):
+    # without sum_k X_k^2, (4,1,1) and (3,3) share content sum 3 and with
+    # it a 15-dimensional eigenspace of the block mu = (2, 2, 2) at 6x3
+    cfg = hb.AssemblyConfig(6, 3)
+    operators = sec._block_operators
+    monkeypatch.setattr(sec, "_block_operators", lambda config, index: operators(config, index)[:-1])
+    with pytest.raises(sec.DecompositionError, match="15-dimensional"):
+        sec.assembly_rays(cfg)
 
 
 @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (2, 3), (3, 3)])
@@ -259,7 +309,7 @@ def test_generator_certificates_agree_with_the_whole_group(n, d):
 
 def test_two_copies_have_a_four_dimensional_commutant_on_both_routes():
     cfg = hb.AssemblyConfig(3, 2)
-    rays = sec.generalised_rays(sec.isotypic_component(cfg, (2, 1)))
+    rays = components_by_shape(cfg)[(2, 1)].rays
     joined = np.hstack([r.basis for r in rays])
     assert sec.compressed_commutant_dimension(cfg, joined) == 4
     assert full_group_commutant_dimension(cfg, joined) == 4
@@ -267,8 +317,9 @@ def test_two_copies_have_a_four_dimensional_commutant_on_both_routes():
 
 def test_rotated_subspace_fails_invariance_on_both_routes():
     cfg = hb.AssemblyConfig(3, 2)
-    ray = sec.generalised_rays(sec.isotypic_component(cfg, (2, 1)))[0]
-    outside = sec.generalised_rays(sec.isotypic_component(cfg, (3,)))[0].basis[:, 0]
+    by_shape = components_by_shape(cfg)
+    ray = by_shape[(2, 1)].rays[0]
+    outside = by_shape[(3,)].rays[0].basis[:, 0]
     rotated = ray.basis.copy()
     rotated[:, 0] = math.cos(0.3) * rotated[:, 0] + math.sin(0.3) * outside
     assert np.max(np.abs(rotated.conj().T @ rotated - np.eye(2))) < 1e-12
@@ -276,16 +327,15 @@ def test_rotated_subspace_fails_invariance_on_both_routes():
     assert full_group_invariance_residual(cfg, rotated) > hb.EPS_ABS
 
 
-def test_projectors_cross_the_group_once(monkeypatch):
+def test_projectors_never_cross_the_group(monkeypatch):
     cfg = hb.AssemblyConfig(4, 2)
-    crossings = []
-    enumerate_group = sg.all_permutations
+    crossings, draws = [], []
+    enumerate_group, rng_for = sg.all_permutations, hb.rng_for
     monkeypatch.setattr(sg, "all_permutations", lambda n: crossings.append(n) or enumerate_group(n))
+    monkeypatch.setattr(hb, "rng_for", lambda seed: draws.append(seed) or rng_for(seed))
     sec.all_isotypic(cfg)
-    assert crossings == [4]
-    crossings.clear()
     sec.SectorProjectors.build(cfg)
-    assert crossings == [4]
+    assert crossings == [] and draws == []
 
 
 # ---------------------------------------------------------------------------

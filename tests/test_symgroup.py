@@ -214,6 +214,19 @@ def test_character_orthogonality_and_dimension_sum():
         assert sum(table.dimension(lam) ** 2 for lam in table.irrep_labels) == order
 
 
+def test_schur_at_ones_is_the_tensor_power_multiplicity():
+    # hook-content formula against <chi_lambda, d**cycles>, the multiplicity
+    # of lambda in (C^d)^{x n}
+    for n in range(1, sg.N_MAX + 1):
+        classes = sg.conjugacy_classes(n)
+        for shape in sg.partitions(n):
+            for d in range(1, 5):
+                total = sum(c.size * sg.character(shape, c.cycle_type) * d ** len(c.cycle_type) for c in classes)
+                assert sg.schur_at_ones(shape, d) * math.factorial(n) == total
+    assert sg.schur_at_ones((2, 1), 2) == 2
+    assert sg.schur_at_ones((1, 1, 1), 2) == 0
+
+
 def test_character_input_validation():
     with pytest.raises(ValueError):
         sg.character((2, 1), (2,))  # different n
