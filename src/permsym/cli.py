@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 
@@ -276,7 +277,7 @@ def _cmd_model(args) -> int:
             {
                 "command": "model",
                 "count": len(cls),
-                "models": [json.loads(models.model_to_json(m)) for m in cls],
+                "models": [models.model_obj(m) for m in cls],
             }
         )
         return 0
@@ -289,8 +290,8 @@ def _cmd_model(args) -> int:
         _emit(
             {
                 "command": "model",
-                "symmetric": models.is_symmetric_model(model),
-                "fully_symmetric": models.is_fully_symmetric_model(model),
+                "symmetric": len(stabilizers) > 1,
+                "fully_symmetric": len(stabilizers) == math.factorial(model.size),
                 "stabilizers": stabilizers,
             }
         )
@@ -322,7 +323,7 @@ def _cmd_theory(args) -> int:
             {
                 "command": "theory",
                 "quotient": {
-                    label: [json.loads(models.model_to_json(m)) for m in reps]
+                    label: [models.model_obj(m) for m in reps]
                     for label, reps in sorted(quotient.items())
                 },
             }
@@ -345,7 +346,7 @@ def _cmd_toy_theories(args) -> int:
     for name, theory in casebook.toy_theories().items():
         report = models.gpc_check(theory)
         out[name] = {
-            "theory": json.loads(models.theory_to_json(theory)),
+            "theory": models.theory_obj(theory),
             "permutable": report.permutable,
             "fixity": report.fixed,
             "gpc_consistent": report.consistent,

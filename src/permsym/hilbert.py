@@ -286,8 +286,7 @@ def all_perm_operators(config: AssemblyConfig) -> list[PermOperator]:
 
 def generator_operators(config: AssemblyConfig) -> list[PermOperator]:
     """P((k k+1)) for k = 1..n-1: the adjacent transpositions generate S_n."""
-    n = config.n
-    return [perm_operator(config, symgroup.from_cycles(n, [(k, k + 1)])) for k in range(1, n)]
+    return [perm_operator(config, s) for s in symgroup.adjacent_transpositions(config.n)]
 
 
 def is_symmetric_operator(

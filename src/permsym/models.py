@@ -5,7 +5,11 @@ finite relations.  A permutation P of the domain acts on a relation R by
 relabelling:  s is in PR  iff  P^(-1)(s) is in R, i.e. PR is the pointwise
 image of R.  A model is *symmetric* when some non-identity permutation
 fixes it and *fully symmetric* when all do (equivalently, its permute
-class is a singleton).
+class is a singleton).  Every question about the action is read from one
+pass over S_n, the model's orbit, or from the n-1 adjacent transpositions
+that generate S_n.  Symmetry comes from orbit-stabiliser: |orbit| |Stab| =
+n!, so a model is symmetric exactly when its orbit is smaller than n!.
+Full symmetry, and so fixity, is asked of the generators only.
 
 Two canonical sentences describe a model in the first-order language with
 equality and a name for every individual:
@@ -22,17 +26,22 @@ opaque condition labels to subsets of the space.  A theory is
 *permutable* when every selected set is closed under the permute action
 (the semantic notion; over finite domains with the space closed under
 permutes it coincides with its syntactic counterpart), and has *fixity*
-when every selected model is fully symmetric.  Fixity implies
-permutability; gpc_check records both and the implication.
+when every selected model is fully symmetric.  Permutability is
+ill-posed, and raises TheoryError, when any permute of any selected model
+is missing from the state space; that is asked of every selected model
+before any selected set is read.  Fixity implies permutability;
+gpc_check records both and the implication.
 
 Formulas serialise to s-expressions, e.g.
-``(and (rel R a1 a2) (not (rel R a2 a1)))``; models and theories to JSON.
+``(and (rel R a1 a2) (not (rel R a2 a1)))``; models and theories to JSON
+through one dict form each, whose readers refuse anything else.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -46,6 +55,15 @@ class FormulaError(ValueError):
 
 class TheoryError(ValueError):
     """Structurally ill-formed theory or check precondition violation."""
+
+
+# Atom budget: a state or structure description holds one signed atom per
+# tuple of names, and a padded relation one tuple per atom.  Either takes
+# about 0.65 KB per atom with its printed or JSON form (measured at arity
+# 18 on two names), so 2**20 atoms stay within the 1 GiB that
+# hilbert.DIM_CAP allows a dense operator.  Larger enumerations are
+# refused before they start.
+ATOM_CAP = 2**20
 
 
 @dataclass(frozen=True)
@@ -109,6 +127,12 @@ class FiniteModel:
         return f"FiniteModel(domain={list(self.domain)}, relations={rels})"
 
 
+def _check_atoms(size: int, arity: int) -> None:
+    # 2**arity <= size**arity, so a long arity is refused without the power
+    if size > 1 and (arity >= ATOM_CAP.bit_length() or size**arity > ATOM_CAP):
+        raise ValueError(f"{size}**{arity} atoms exceed the cap {ATOM_CAP}")
+
+
 def pad_relation(model: FiniteModel, name: str, target_arity: int | None = None) -> FiniteModel:
     """Raise a relation's arity by allowing arbitrary trailing relata:
     the padded relation holds of (s1..sk, t...) iff the original holds of
@@ -119,6 +143,7 @@ def pad_relation(model: FiniteModel, name: str, target_arity: int | None = None)
     target = model.size if target_arity is None else target_arity
     if target < rel.arity:
         raise ValueError(f"cannot pad arity {rel.arity} down to {target}")
+    _check_atoms(model.size, target)
     extra = target - rel.arity
     padded = frozenset(
         t + tail for t in rel.tuples for tail in itertools.product(model.domain, repeat=extra)
@@ -141,25 +166,27 @@ def apply_perm(perm: Permutation, model: FiniteModel) -> FiniteModel:
     return FiniteModel(model.domain, rels)
 
 
+def _orbit(model: FiniteModel) -> set[FiniteModel]:
+    """The S_n-orbit of the model, unsorted: the one pass over the group."""
+    return {apply_perm(p, model) for p in symgroup.all_permutations(model.size)}
+
+
 def permute_class(model: FiniteModel) -> list[FiniteModel]:
     """All distinct permutes of the model, sorted by serialised form."""
-    seen = {apply_perm(p, model) for p in symgroup.all_permutations(model.size)}
-    return sorted(seen, key=model_to_json)
+    return sorted(_orbit(model), key=model_to_json)
 
 
 def is_symmetric_model(model: FiniteModel) -> bool:
-    """Some non-identity permutation fixes the model."""
-    return any(
-        apply_perm(p, model) == model
-        for p in symgroup.all_permutations(model.size)
-        if not p.is_identity()
-    )
+    """Some non-identity permutation fixes the model: the stabiliser is
+    larger than the identity exactly when the orbit is smaller than n!."""
+    return len(_orbit(model)) < math.factorial(model.size)
 
 
 def is_fully_symmetric_model(model: FiniteModel) -> bool:
-    """Every permutation fixes the model (singleton permute class)."""
+    """Every permutation fixes the model (singleton permute class), asked
+    of the adjacent transpositions that generate S_n."""
     return all(
-        apply_perm(p, model) == model for p in symgroup.all_permutations(model.size)
+        apply_perm(s, model) == model for s in symgroup.adjacent_transpositions(model.size)
     )
 
 
@@ -302,51 +329,38 @@ def _fresh(stem: str, taken: Iterable[str]) -> str:
     return name
 
 
-def state_description(model: FiniteModel) -> Formula:
-    """The conjunction true in exactly this model (over its domain):
-    every relation atom signed as it holds, all pairwise name
-    inequalities, and the closure clause that everything is a name."""
+def _description(model: FiniteModel, term: Mapping[str, str]) -> Formula:
+    """Every relation atom signed as it holds, all pairwise inequalities and
+    the closure clause that everything is one of the terms, with each name
+    a written as term[a]."""
+    # the pairwise inequalities grow like one binary relation
+    for arity in (2, *(rel.arity for rel in model.relations.values())):
+        _check_atoms(model.size, arity)
     parts: list[Formula] = []
     for name in sorted(model.relations):
         rel = model.relations[name]
         for t in itertools.product(model.domain, repeat=rel.arity):
-            atom = Rel(name, t)
+            atom = Rel(name, tuple(term[a] for a in t))
             parts.append(atom if t in rel.tuples else Not(atom))
-    for i in range(model.size):
-        for j in range(i + 1, model.size):
-            parts.append(Ne(model.domain[i], model.domain[j]))
+    terms = [term[a] for a in model.domain]
+    parts.extend(Ne(left, right) for left, right in itertools.combinations(terms, 2))
     y = _fresh("y", model.domain)
-    parts.append(ForAll(y, Or(tuple(Eq(y, a) for a in model.domain))))
+    parts.append(ForAll(y, Or(tuple(Eq(y, t) for t in terms))))
     return And(tuple(parts))
+
+
+def state_description(model: FiniteModel) -> Formula:
+    """The conjunction true in exactly this model (over its domain):
+    every relation atom signed as it holds, all pairwise name
+    inequalities, and the closure clause that everything is a name."""
+    return _description(model, {a: a for a in model.domain})
 
 
 def structure_description(model: FiniteModel) -> Formula:
     """The existential closure of the state description with names turned
     into variables; true in exactly the permute class of the model."""
-    to_var = {
-        a: _fresh(f"x{i + 1}", model.domain) for i, a in enumerate(model.domain)
-    }
-
-    def sub(f: Formula) -> Formula:
-        if isinstance(f, Rel):
-            return Rel(f.name, tuple(to_var.get(t, t) for t in f.args))
-        if isinstance(f, Not):
-            return Not(sub(f.body))
-        if isinstance(f, And):
-            return And(tuple(sub(p) for p in f.parts))
-        if isinstance(f, Or):
-            return Or(tuple(sub(p) for p in f.parts))
-        if isinstance(f, Eq):
-            return Eq(to_var.get(f.left, f.left), to_var.get(f.right, f.right))
-        if isinstance(f, Ne):
-            return Ne(to_var.get(f.left, f.left), to_var.get(f.right, f.right))
-        if isinstance(f, ForAll):
-            return ForAll(f.var, sub(f.body))
-        if isinstance(f, Exists):
-            return Exists(f.var, sub(f.body))
-        raise FormulaError(f"not a formula node: {f!r}")
-
-    body = sub(state_description(model))
+    to_var = {a: _fresh(f"x{i + 1}", model.domain) for i, a in enumerate(model.domain)}
+    body = _description(model, to_var)
     for a in reversed(model.domain):
         body = Exists(to_var[a], body)
     return body
@@ -482,24 +496,25 @@ class Theory:
 
 
 def is_permutable(theory: Theory) -> bool:
-    """Semantic permutability: every selected set is closed under the
-    permute action.  A permute of a selected model that is missing from
-    the state space altogether makes the check ill-posed."""
+    """Semantic permutability: every selected set holds the orbit of each
+    of its models.  Each distinct orbit is computed once, and if any
+    permute of any selected model is missing from the state space the
+    check is ill-posed and raises, whatever the other verdicts."""
     space = set(theory.space)
-    perms = symgroup.all_permutations(theory.space[0].size)
-    for label in theory.selection:
-        chosen = set(theory.selected(label))
-        for m in chosen:
-            for p in perms:
-                moved = apply_perm(p, m)
-                if moved not in space:
-                    raise TheoryError(
-                        f"permute of a model selected by {label!r} is absent "
-                        "from the state space"
-                    )
-                if moved not in chosen:
-                    return False
-    return True
+    chosen = {label: set(theory.selected(label)) for label in theory.selection}
+    orbit_of: dict[FiniteModel, set[FiniteModel]] = {}
+    for label, picked in chosen.items():
+        for m in picked:
+            if m in orbit_of:
+                continue
+            orbit = _orbit(m)
+            if not orbit <= space:
+                raise TheoryError(
+                    f"permute of a model selected by {label!r} is absent "
+                    "from the state space"
+                )
+            orbit_of.update(dict.fromkeys(orbit, orbit))
+    return all(orbit_of[m] <= picked for picked in chosen.values() for m in picked)
 
 
 def has_fixity(theory: Theory) -> bool:
@@ -534,60 +549,95 @@ def quotient_selection(theory: Theory) -> dict[str, list[FiniteModel]]:
     permutable theory, otherwise classes would leak out of the selection."""
     if not is_permutable(theory):
         raise TheoryError("quotient of a non-permutable theory is ill-defined")
-    out: dict[str, list[FiniteModel]] = {}
-    for label in theory.selection:
-        reps = {min(permute_class(m), key=model_to_json) for m in theory.selected(label)}
-        out[label] = sorted(reps, key=model_to_json)
-    return out
+    return {
+        label: sorted({permute_class(m)[0] for m in theory.selected(label)}, key=model_to_json)
+        for label in theory.selection
+    }
 
 
 # ---------------------------------------------------------------------------
 # JSON forms
 
-def model_to_json(model: FiniteModel) -> str:
-    obj = {
+def model_obj(model: FiniteModel) -> dict:
+    return {
         "domain": list(model.domain),
         "relations": {
-            name: {
-                "arity": model.relations[name].arity,
-                "tuples": sorted(list(t) for t in model.relations[name].tuples),
-            }
-            for name in sorted(model.relations)
+            name: {"arity": rel.arity, "tuples": sorted(list(t) for t in rel.tuples)}
+            for name, rel in sorted(model.relations.items())
         },
     }
-    return json.dumps(obj)
+
+
+def model_to_json(model: FiniteModel) -> str:
+    return json.dumps(model_obj(model))
+
+
+_JSON_TYPES = {dict: "an object", list: "an array", int: "an integer", str: "a string"}
+
+
+def _typed(x, kind: type, what: str):
+    # type(), not isinstance(): JSON true and false are not integers
+    if type(x) is not kind:
+        raise ValueError(f"{what} must be {_JSON_TYPES[kind]}")
+    return x
+
+
+def _strings(x, what: str) -> tuple[str, ...]:
+    return tuple(_typed(s, str, f"each entry of {what}") for s in _typed(x, list, what))
+
+
+def _loads(text: str):
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"bad JSON: {exc}") from exc
+
+
+def model_from_obj(obj) -> FiniteModel:
+    """The model of a :func:`model_obj` dict.  Anything else raises
+    ValueError: names and relata must be strings, arities JSON integers
+    (not booleans), and every container of its JSON type."""
+    obj = _typed(obj, dict, "a model")
+    rels = {}
+    for name, spec in _typed(obj.get("relations", {}), dict, "the relations").items():
+        spec = _typed(spec, dict, f"relation {name!r}")
+        tuples = _typed(spec.get("tuples"), list, f"the tuples of {name!r}")
+        rels[name] = Relation(
+            _typed(spec.get("arity"), int, f"the arity of {name!r}"),
+            frozenset(_strings(t, f"a tuple of {name!r}") for t in tuples),
+        )
+    return FiniteModel(_strings(obj.get("domain"), "the domain"), rels)
 
 
 def model_from_json(text: str) -> FiniteModel:
-    try:
-        obj = json.loads(text)
-        domain = obj["domain"]
-        rels = {
-            name: Relation(int(spec["arity"]), frozenset(tuple(t) for t in spec["tuples"]))
-            for name, spec in obj.get("relations", {}).items()
-        }
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"bad model JSON: {exc}") from exc
-    return FiniteModel(domain, rels)
+    return model_from_obj(_loads(text))
 
 
-def theory_to_json(theory: Theory) -> str:
-    obj = {
-        "space": [json.loads(model_to_json(m)) for m in theory.space],
+def theory_obj(theory: Theory) -> dict:
+    return {
+        "space": [model_obj(m) for m in theory.space],
         "selection": {
             label: list(theory.selection[label]) for label in sorted(theory.selection)
         },
     }
-    return json.dumps(obj)
+
+
+def theory_to_json(theory: Theory) -> str:
+    return json.dumps(theory_obj(theory))
 
 
 def theory_from_json(text: str) -> Theory:
-    try:
-        obj = json.loads(text)
-        space = tuple(model_from_json(json.dumps(m)) for m in obj["space"])
-        selection = {str(k): tuple(v) for k, v in obj.get("selection", {}).items()}
-    except TheoryError:
-        raise
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"bad theory JSON: {exc}") from exc
+    """The theory of a :func:`theory_obj` text: models as
+    :func:`model_from_obj` reads them, indices JSON integers.  Malformed
+    JSON raises ValueError, and a well-formed but ill-formed theory its
+    subclass TheoryError."""
+    obj = _typed(_loads(text), dict, "a theory")
+    space = tuple(model_from_obj(m) for m in _typed(obj.get("space"), list, "the space"))
+    selection = {
+        label: tuple(
+            _typed(i, int, f"each index of {label!r}")
+            for i in _typed(idxs, list, f"selection {label!r}")
+        )
+        for label, idxs in _typed(obj.get("selection", {}), dict, "the selection").items()
+    }
     return Theory(space, selection)

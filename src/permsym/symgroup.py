@@ -189,6 +189,12 @@ def all_permutations(n: int) -> list[Permutation]:
     return [Permutation(images) for images in itertools.permutations(range(1, n + 1))]
 
 
+def adjacent_transpositions(n: int) -> list[Permutation]:
+    """(k k+1) for k = 1..n-1.  They generate S_n, so whatever each of them
+    fixes, every permutation fixes; no enumeration and no cap on n."""
+    return [from_cycles(n, [(k, k + 1)]) for k in range(1, n)]
+
+
 def partitions(n: int) -> list[tuple[int, ...]]:
     """All partitions of n as descending tuples, in descending lex order
     ([n] first, [1,...,1] last)."""

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -499,6 +500,83 @@ def test_toy_theories_report(capsys):
         assert entry["gpc_consistent"] is True
 
 
+def test_model_describe_golden(capsys, tmp_path):
+    # domain names that a naive x1/y naming would capture
+    model = md.FiniteModel(("y", "x1"), {"R": md.Relation(1, frozenset({("y",)}))})
+    path = tmp_path / "model.json"
+    path.write_text(md.model_to_json(model), encoding="utf-8")
+    outputs = [
+        run_cli(capsys, ["model", "--input", str(path), "--describe", kind])[1]
+        for kind in ("state", "structure")
+    ]
+    assert outputs == [
+        "(and (rel R y) (not (rel R x1)) (!= y x1) (forall _y (or (= _y y) (= _y x1))))\n",
+        "(exists _x1 (exists x2 (and (rel R _x1) (not (rel R x2)) (!= _x1 x2) "
+        "(forall _y (or (= _y _x1) (= _y x2))))))\n",
+    ]
+
+
+@pytest.mark.parametrize(
+    "tuples,stabilizers",
+    [
+        ([("a", "b")], ["()"]),
+        ([("a", "b"), ("b", "a")], ["()", "(1 2)"]),
+        ([(x, x) for x in "abc"], ["()", "(2 3)", "(1 2)", "(1 2 3)", "(1 3 2)", "(1 3)"]),
+    ],
+)
+def test_model_symmetric_crosses_the_group_once(capsys, tmp_path, monkeypatch, tuples, stabilizers):
+    model = md.FiniteModel(("a", "b", "c"), {"R": md.Relation(2, frozenset(tuples))})
+    path = tmp_path / "model.json"
+    path.write_text(md.model_to_json(model), encoding="utf-8")
+    crossings, enumerate_group = [], sg.all_permutations
+    monkeypatch.setattr(sg, "all_permutations", lambda n: crossings.append(n) or enumerate_group(n))
+    code, out, _ = run_cli(capsys, ["model", "--input", str(path), "--symmetric"])
+    assert code == 0 and crossings == [3]
+    assert json.loads(out) == {
+        "command": "model",
+        "symmetric": len(stabilizers) > 1,
+        "fully_symmetric": len(stabilizers) == 6,
+        "stabilizers": stabilizers,
+    }
+
+
+def test_permutability_verdict_ignores_the_hash_seed():
+    # {a} is selected with {a, b}; {a}'s permute {c} is missing from the
+    # space, so the check is ill-posed whichever model a set yields first
+    space = [
+        {"domain": ["a", "b", "c"], "relations": {"P": {"arity": 1, "tuples": [[x] for x in names]}}}
+        for names in ("a", "b", "c", "ab", "bc")
+    ]
+    text = json.dumps({"space": space, "selection": {"s": [0, 3]}})
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    for seed in ("0", "3"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "permsym.cli", "theory", "--input", "-"],
+            input=text,
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=dict(env, PYTHONHASHSEED=seed),
+        )
+        assert (proc.returncode, proc.stdout) == (2, ""), seed
+        assert "absent from the state space" in proc.stderr
+
+
+def test_atom_enumeration_past_the_cap_is_usage_error():
+    unary = md.FiniteModel(("a", "b", "c"), {"R": md.Relation(1, frozenset({("a",)}))})
+    wide = md.FiniteModel(("a", "b", "c"), {"R": md.Relation(40, frozenset())})
+    start = time.perf_counter()
+    requests = [
+        (unary, ["--pad", "R:40"]),
+        (wide, ["--describe", "state"]),
+        (wide, ["--describe", "structure"]),
+    ]
+    for model, request in requests:
+        assert run_with_stdin(["model", "--input", "-", *request], md.model_to_json(model)) == (2, "")
+    # refused before any atom is built, not after a long enumeration
+    assert time.perf_counter() - start < 5.0
+
+
 def test_help_exits_zero(capsys):
     assert cli.run(["--help"]) == 0
     capsys.readouterr()
@@ -650,3 +728,110 @@ def test_matrix_reader_refuses_malformed_json(text):
         hb.matrix_from_json(text)
     for command in ("symmetrise", "superselect"):
         assert run_with_stdin([command, "--n", "2", "--d", "2", "--input", "-"], text) == (2, "")
+
+
+VALID_MODEL = {
+    "domain": ["a", "b"],
+    "relations": {"P": {"arity": 1, "tuples": [["a"]]}, "R": {"arity": 2, "tuples": [["a", "b"]]}},
+}
+MISSING = object()
+SCALAR = st.one_of(st.booleans(), st.none(), st.floats())
+NOT_STRING = SCALAR | st.integers(-3, 3) | st.lists(st.just("a"), max_size=2)
+NOT_INTEGER = SCALAR | st.text(max_size=2) | st.lists(st.integers(0, 2), max_size=2)
+NOT_LIST = SCALAR | st.integers(-3, 3) | st.text(max_size=3) | st.dictionaries(st.text(max_size=1), st.integers(0, 1), max_size=2)
+NOT_OBJECT = SCALAR | st.integers(-3, 3) | st.text(max_size=3) | st.lists(st.text(max_size=1), max_size=2)
+
+
+def put(obj: dict, key, value) -> None:
+    if value is MISSING:
+        del obj[key]
+    else:
+        obj[key] = value
+
+
+@st.composite
+def malformed_model_objs(draw):
+    """VALID_MODEL with one part replaced by something of the wrong JSON type."""
+    obj = json.loads(json.dumps(VALID_MODEL))
+    rel = obj["relations"][draw(st.sampled_from(["P", "R"]))]
+    kind = draw(st.sampled_from(["model", "domain", "name", "relations", "spec", "arity", "tuples", "tuple", "relatum"]))
+    if kind == "model":
+        return draw(NOT_OBJECT)
+    if kind == "domain":
+        put(obj, "domain", draw(NOT_LIST | st.just(MISSING)))
+    elif kind == "name":
+        obj["domain"][draw(st.integers(0, 1))] = draw(NOT_STRING)
+    elif kind == "relations":
+        obj["relations"] = draw(NOT_OBJECT)
+    elif kind == "spec":
+        obj["relations"]["P"] = draw(NOT_OBJECT)
+    elif kind == "arity":
+        put(rel, "arity", draw(NOT_INTEGER | st.just(MISSING)))
+    elif kind == "tuples":
+        put(rel, "tuples", draw(NOT_LIST | st.just(MISSING)))
+    elif kind == "tuple":
+        rel["tuples"][0] = draw(NOT_LIST)
+    else:
+        rel["tuples"][0][0] = draw(NOT_STRING)
+    return obj
+
+
+@st.composite
+def malformed_theories(draw):
+    other = json.loads(json.dumps(VALID_MODEL))
+    other["relations"]["P"]["tuples"] = [["b"]]
+    obj = {"space": [VALID_MODEL, other], "selection": {"s": [0, 1]}}
+    kind = draw(st.sampled_from(["theory", "space", "member", "selection", "indices", "index"]))
+    if kind == "theory":
+        obj = draw(NOT_OBJECT)
+    elif kind == "space":
+        put(obj, "space", draw(NOT_LIST | st.just(MISSING)))
+    elif kind == "member":
+        obj["space"][draw(st.integers(0, 1))] = draw(malformed_model_objs())
+    elif kind == "selection":
+        obj["selection"] = draw(NOT_OBJECT)
+    elif kind == "indices":
+        obj["selection"]["s"] = draw(NOT_LIST)
+    else:
+        obj["selection"]["s"][draw(st.integers(0, 1))] = draw(NOT_INTEGER)
+    return json.dumps(obj)
+
+
+@given(malformed_model_objs().map(json.dumps))
+def test_model_reader_refuses_malformed_json(text):
+    with pytest.raises(ValueError):
+        md.model_from_json(text)
+    assert run_with_stdin(["model", "--input", "-"], text) == (2, "")
+
+
+@given(malformed_theories())
+def test_theory_reader_refuses_malformed_json(text):
+    with pytest.raises(ValueError):
+        md.theory_from_json(text)
+    assert run_with_stdin(["theory", "--input", "-"], text) == (2, "")
+
+
+SPACE = '[{"domain": ["a"]}, {"domain": ["a"], "relations": {"P": {"arity": 1, "tuples": [["a"]]}}}]'
+MEASURED_CASES = {
+    # once tracebacks that exited 1
+    "relations-array": ("model", '{"domain": ["a"], "relations": []}'),
+    "domain-number": ("model", '{"domain": 5}'),
+    "arity-overflow": ("model", '{"domain": ["a"], "relations": {"P": {"arity": 1e400, "tuples": []}}}'),
+    "selection-array": ("theory", '{"space": %s, "selection": []}' % SPACE),
+    "index-overflow": ("theory", '{"space": %s, "selection": {"s": [1e400]}}' % SPACE),
+    "deep-nesting": ("model", "[" * 100_000),
+    # once read as something else
+    "arity-true": ("model", '{"domain": ["a"], "relations": {"P": {"arity": true, "tuples": [["a"]]}}}'),
+    "name-array": ("model", '{"domain": [["a"]]}'),
+    "tuple-string": ("model", '{"domain": ["a", "b"], "relations": {"R": {"arity": 2, "tuples": ["ab"]}}}'),
+    "index-fraction": ("theory", '{"space": %s, "selection": {"s": [0.7]}}' % SPACE),
+}
+
+
+@pytest.mark.parametrize("command,text", MEASURED_CASES.values(), ids=MEASURED_CASES.keys())
+def test_model_and_theory_readers_refuse_measured_cases(command, text):
+    reader = md.model_from_json if command == "model" else md.theory_from_json
+    with pytest.raises(ValueError):
+        reader(text)
+    assert run_with_stdin([command, "--input", "-"], text) == (2, "")
+

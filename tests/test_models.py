@@ -110,6 +110,22 @@ def test_pad_commutes_with_permutes():
     )
 
 
+def test_atom_enumeration_past_the_cap_is_refused():
+    wide = md.FiniteModel(ABC, {"R": md.Relation(40, frozenset())})
+    unary = md.FiniteModel(ABC, {"P": md.Relation(1, frozenset({("a",)}))})
+    crowd = md.FiniteModel([f"a{k}" for k in range(1025)], {})
+    calls = [
+        lambda: md.state_description(wide),
+        lambda: md.structure_description(wide),
+        lambda: md.pad_relation(unary, "P", 40),
+        lambda: md.pad_relation(unary, "P", 10**30),  # refused without the power
+        lambda: md.state_description(crowd),  # 1025**2 inequality slots
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="exceed the cap"):
+            call()
+
+
 def test_enumerate_models_counts():
     two = list(md.enumerate_models(("a", "b"), {"R": 2}))
     assert len(two) == 2 ** 4
@@ -295,6 +311,49 @@ def test_permutability_needs_closed_space():
     only_a = md.FiniteModel(("a", "b"), {"duty": md.Relation(1, frozenset({("a",)}))})
     theory = md.Theory((only_a,), {"rota": (0,)})
     with pytest.raises(md.TheoryError):
+        md.is_permutable(theory)
+
+
+def count_crossings(monkeypatch) -> list[int]:
+    """The n of every pass over S_n from here on."""
+    crossings, enumerate_group = [], sg.all_permutations
+    monkeypatch.setattr(sg, "all_permutations", lambda n: crossings.append(n) or enumerate_group(n))
+    return crossings
+
+
+def test_full_symmetry_and_fixity_ask_only_the_generators(monkeypatch):
+    diag = md.FiniteModel(ABC, {"R": md.Relation(2, frozenset({(x, x) for x in ABC}))})
+    swap = md.FiniteModel(ABC, {"R": md.Relation(2, frozenset({("a", "b"), ("b", "a")}))})
+    space = tuple(md.enumerate_models(ABC, {"R": 2}))
+    fixed = md.Theory(space, {"sel": (space.index(diag),)})
+    loose = md.Theory(space, {"sel": (space.index(diag), space.index(swap))})
+    crossings = count_crossings(monkeypatch)
+    assert md.is_fully_symmetric_model(diag)
+    assert not md.is_fully_symmetric_model(swap)  # (1 2) fixes it, (2 3) does not
+    assert md.has_fixity(fixed) and not md.has_fixity(loose)
+    assert crossings == []
+
+
+def test_gpc_check_crosses_the_group_once_per_orbit(monkeypatch):
+    space = tuple(md.enumerate_models(ABC, {"R": 2}))
+    lone = md.FiniteModel(ABC, {"R": md.Relation(2, frozenset({("a", "b")}))})
+    orbit = tuple(space.index(m) for m in md.permute_class(lone))
+    assert len(orbit) == 6
+    crossings = count_crossings(monkeypatch)
+    report = md.gpc_check(md.Theory(space, {"sel": orbit, "again": orbit[::-1]}))
+    assert report.permutable and not report.fixed
+    assert crossings == [3]
+
+
+def test_permutability_is_ill_posed_whatever_the_other_verdicts():
+    # {a, b} alone leaves the selection open, but {a}'s permute {c} is
+    # missing from the space, so the check is ill-posed rather than False
+    space = tuple(
+        md.FiniteModel(ABC, {"P": md.Relation(1, frozenset((x,) for x in names))})
+        for names in ("a", "b", "ab", "bc", "ac")
+    )
+    theory = md.Theory(space, {"s": (0, 2)})
+    with pytest.raises(md.TheoryError, match="absent from the state space"):
         md.is_permutable(theory)
 
 

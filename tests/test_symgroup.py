@@ -126,6 +126,20 @@ def test_enumeration_capability_guard():
         sg.all_permutations(0)
 
 
+def test_adjacent_transpositions_generate_the_group():
+    for n in range(1, 5):
+        gens = sg.adjacent_transpositions(n)
+        assert [g.cycles() for g in gens] == [((k, k + 1),) for k in range(1, n)]
+        closure = {sg.identity(n)}
+        frontier = set(closure)
+        while frontier:
+            frontier = {sg.compose(g, p) for g in gens for p in frontier} - closure
+            closure |= frontier
+        assert closure == set(sg.all_permutations(n))
+    # nothing is enumerated, so the generators have no cap on n
+    assert len(sg.adjacent_transpositions(sg.N_MAX + 4)) == sg.N_MAX + 3
+
+
 def test_partition_counts():
     # p(n) for n = 1..8
     for n, count in enumerate((1, 2, 3, 5, 7, 11, 15, 22), start=1):
