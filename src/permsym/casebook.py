@@ -40,6 +40,11 @@ from .hilbert import EPS_ABS, AssemblyConfig
 
 EPS_BLOCH = 1e-12
 
+# Row budget of bloch_sweep: the K x K grid is held as a list of row dicts
+# before anything is printed, about 0.46 KB per row (measured with
+# tracemalloc at K = 100), so 2**20 rows (K <= 1024) stay within 0.5 GB.
+SWEEP_ROW_CAP = 2**20
+
 COIN = AssemblyConfig(2, 2)  # H = letter 0, T = letter 1
 
 
@@ -201,6 +206,8 @@ def bloch_sweep(steps: int) -> list[dict]:
     each with ``steps`` azimuthal samples."""
     if steps < 2:
         raise ValueError("sweep needs at least 2 steps")
+    if steps * steps > SWEEP_ROW_CAP:
+        raise ValueError(f"a sweep of {steps} steps has {steps}**2 rows, past the cap {SWEEP_ROW_CAP}")
     rows = []
     for i in range(steps):
         theta = math.pi * i / (steps - 1)

@@ -5,7 +5,8 @@ superselect, coins, bloch, fig3, model, theory, toy-theories.
 
 Exit codes: 0 on success, 1 when a verification fails (a residual exceeds
 its tolerance or a certified decomposition cannot be produced), 2 on
-usage or input errors, 3 when the computation runs out of memory or a
+usage or input errors (input or output past a size budget included), 3
+when the computation runs out of memory or recursion depth or a
 linear-algebra routine fails.  Output is deterministic: identical argv
 and seed give byte-identical bytes, with floats in shortest round-trip
 form.
@@ -23,6 +24,13 @@ import numpy as np
 
 from . import casebook, hilbert, models, sectors, symgroup, symmetriser
 from .hilbert import AssemblyConfig
+
+# Output budget of decompose --json: every ray vector is written densely,
+# D vectors of D [re, im] pairs, so D**2 pairs held as Python lists before
+# json.dumps.  That is about 190 B per pair at peak (7x3: 4.8M pairs,
+# 912 MB peak RSS), so 2**23 pairs, about 1.6 GB, admit 7x3 and refuse
+# 5x5, 6x4 and 8x3.  The text report writes no vectors and has no budget.
+JSON_PAIR_CAP = 2**23
 
 
 def parse_complex(text: str) -> complex:
@@ -59,6 +67,11 @@ def _cmd_decompose(args) -> int:
         raise ValueError(
             "sector ranks need n >= 2 (for n = 1 the symmetric and "
             "antisymmetric sectors coincide)"
+        )
+    if args.json and config.dim**2 > JSON_PAIR_CAP:
+        raise ValueError(
+            f"the JSON report writes dim**2 = {config.dim**2} entries, past the cap "
+            f"{JSON_PAIR_CAP}; the text report has no vectors"
         )
     isotypic = sectors.all_isotypic(config)
     ranks = {comp.shape: comp.rank for comp in isotypic}
@@ -453,7 +466,7 @@ def run(argv: list[str] | None = None) -> int:
     except hilbert.NumericalIntegrityError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
-    except (MemoryError, np.linalg.LinAlgError) as exc:
+    except (MemoryError, RecursionError, np.linalg.LinAlgError) as exc:
         # before ValueError, which LinAlgError subclasses
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

@@ -435,7 +435,7 @@ def matrix_from_json(text: str) -> np.ndarray:
     try:
         obj = json.loads(text)
         rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (json.JSONDecodeError, RecursionError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"bad matrix JSON: {exc}") from exc
     flat = _entries_from_json(data)
     if rows < 0 or cols < 0 or flat.size != rows * cols:
@@ -458,7 +458,7 @@ def vector_from_json(text: str) -> np.ndarray:
     try:
         obj = json.loads(text)
         length, data = int(obj["length"]), obj["data"]
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (json.JSONDecodeError, RecursionError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"bad vector JSON: {exc}") from exc
     flat = _entries_from_json(data)
     if flat.size != length:

@@ -33,8 +33,13 @@ before any selected set is read.  Fixity implies permutability;
 gpc_check records both and the implication.
 
 Formulas serialise to s-expressions, e.g.
-``(and (rel R a1 a2) (not (rel R a2 a1)))``; models and theories to JSON
-through one dict form each, whose readers refuse anything else.
+``(and (rel R a1 a2) (not (rel R a2 a1)))``, whose heads the printer and
+the parser read from one table.  The evaluator binds every domain name to
+itself before it starts, so a term is one lookup in one environment, and
+treats each dual pair (= and !=, and and or, forall and exists) as one
+case with a polarity.  Errors are lazy: a branch that is never evaluated
+raises nothing.  Models and theories serialise to JSON through one dict
+form each, whose readers refuse anything else.
 """
 
 from __future__ import annotations
@@ -261,23 +266,15 @@ Formula = Rel | Eq | Ne | Not | And | Or | ForAll | Exists
 def satisfies(model: FiniteModel, formula: Formula) -> bool:
     """Evaluate a closed formula in the model.
 
-    Terms are resolved against quantifier bindings first, then as domain
-    names; anything else is an unbound symbol and raises.  Quantifiers
-    range over the domain.
+    Every domain name starts bound to itself, and quantifier bindings
+    shadow it, so a term is one lookup; anything else is an unbound symbol
+    and raises when it is reached.  Quantifiers range over the domain.
     """
-    members = set(model.domain)
-    env: dict[str, str] = {}
-
-    def term(t: str) -> str:
-        got = env.get(t)
-        if got is not None:
-            return got
-        if t in members:
-            return t
-        raise FormulaError(f"unbound symbol {t!r} (not a quantified variable or a name)")
+    env = {a: a for a in model.domain}
 
     def ev(f: Formula) -> bool:
-        if isinstance(f, Rel):
+        kind = type(f)
+        if kind is Rel:
             rel = model.relations.get(f.name)
             if rel is None:
                 raise FormulaError(f"unknown relation {f.name!r}")
@@ -285,40 +282,37 @@ def satisfies(model: FiniteModel, formula: Formula) -> bool:
                 raise FormulaError(
                     f"relation {f.name!r} has arity {rel.arity}, got {len(f.args)} terms"
                 )
-            return tuple(term(t) for t in f.args) in rel.tuples
-        if isinstance(f, Not):
+            return tuple(map(env.__getitem__, f.args)) in rel.tuples
+        if kind is Not:
             return not ev(f.body)
-        if isinstance(f, And):
-            return all(ev(p) for p in f.parts)
-        if isinstance(f, Or):
-            return any(ev(p) for p in f.parts)
-        if isinstance(f, Eq):
-            return term(f.left) == term(f.right)
-        if isinstance(f, Ne):
-            return term(f.left) != term(f.right)
-        if isinstance(f, (ForAll, Exists)):
-            # bindings are domain names, so None safely marks "was unbound"
+        if kind is And or kind is Or:
+            return (all if kind is And else any)(map(ev, f.parts))
+        if kind is Eq or kind is Ne:
+            return (env[f.left] == env[f.right]) is (kind is Eq)
+        if kind is ForAll or kind is Exists:
+            # the first body that holds decides an exists, the first that
+            # fails a forall; bindings are names, so None marks "was unbound"
+            witness = kind is Exists
             shadowed = env.get(f.var)
             try:
-                if isinstance(f, ForAll):
-                    for a in model.domain:
-                        env[f.var] = a
-                        if not ev(f.body):
-                            return False
-                    return True
                 for a in model.domain:
                     env[f.var] = a
-                    if ev(f.body):
-                        return True
-                return False
+                    if ev(f.body) is witness:
+                        return witness
+                return not witness
             finally:
                 if shadowed is None:
-                    env.pop(f.var, None)
+                    del env[f.var]
                 else:
                     env[f.var] = shadowed
         raise FormulaError(f"not a formula node: {f!r}")
 
-    return ev(formula)
+    try:
+        return ev(formula)
+    except KeyError as exc:
+        raise FormulaError(
+            f"unbound symbol {exc.args[0]!r} (not a quantified variable or a name)"
+        ) from None
 
 
 def _fresh(stem: str, taken: Iterable[str]) -> str:
@@ -369,24 +363,29 @@ def structure_description(model: FiniteModel) -> Formula:
 # ---------------------------------------------------------------------------
 # s-expression form
 
+# the s-expression head of each node kind, and the kind of each head
+_HEAD = {
+    Rel: "rel", Eq: "=", Ne: "!=", Not: "not",
+    And: "and", Or: "or", ForAll: "forall", Exists: "exists",
+}
+_KIND = {head: kind for kind, head in _HEAD.items()}
+
+
 def format_formula(f: Formula) -> str:
-    if isinstance(f, Rel):
-        return "(rel " + " ".join((f.name,) + f.args) + ")"
-    if isinstance(f, Eq):
-        return f"(= {f.left} {f.right})"
-    if isinstance(f, Ne):
-        return f"(!= {f.left} {f.right})"
-    if isinstance(f, Not):
-        return f"(not {format_formula(f.body)})"
-    if isinstance(f, And):
-        return "(and " + " ".join(format_formula(p) for p in f.parts) + ")"
-    if isinstance(f, Or):
-        return "(or " + " ".join(format_formula(p) for p in f.parts) + ")"
-    if isinstance(f, ForAll):
-        return f"(forall {f.var} {format_formula(f.body)})"
-    if isinstance(f, Exists):
-        return f"(exists {f.var} {format_formula(f.body)})"
-    raise FormulaError(f"not a formula node: {f!r}")
+    kind = type(f)
+    if kind not in _HEAD:
+        raise FormulaError(f"not a formula node: {f!r}")
+    if kind is Rel:
+        words = (f.name, *f.args)
+    elif kind is Eq or kind is Ne:
+        words = (f.left, f.right)
+    elif kind is Not:
+        words = (format_formula(f.body),)
+    elif kind is And or kind is Or:
+        words = map(format_formula, f.parts)
+    else:
+        words = (f.var, format_formula(f.body))
+    return f"({_HEAD[kind]} {' '.join(words)})"
 
 
 def _tokenize(text: str) -> list[str]:
@@ -413,48 +412,47 @@ def parse_formula(text: str) -> Formula:
             raise FormulaError(f"wanted {what}, got {tok!r}")
         return tok
 
-    def read() -> Formula:
+    def until_close(item) -> tuple:
         nonlocal pos
+        items = []
+        while tokens[pos : pos + 1] != [")"]:
+            items.append(item())
+        pos += 1
+        return tuple(items)
+
+    def read() -> Formula:
         tok = need("a formula")
         if tok != "(":
             raise FormulaError(f"formulas start with '(', got {tok!r}")
         head = atom_token("an operator")
-        if head == "rel":
+        kind = _KIND.get(head)
+        if kind is None:
+            raise FormulaError(f"unknown operator {head!r}")
+        if kind is Rel:
             name = atom_token("a relation name")
-            args = []
-            while tokens[pos : pos + 1] != [")"]:
-                args.append(atom_token("a term"))
-            pos += 1
+            args = until_close(lambda: atom_token("a term"))
             if not args:
                 raise FormulaError("relation atom needs at least one term")
-            return Rel(name, tuple(args))
-        if head in ("=", "!="):
-            left, right = atom_token("a term"), atom_token("a term")
-            if need("')'") != ")":
-                raise FormulaError(f"{head} takes exactly two terms")
-            return Eq(left, right) if head == "=" else Ne(left, right)
-        if head == "not":
-            body = read()
-            if need("')'") != ")":
-                raise FormulaError("not takes exactly one formula")
-            return Not(body)
-        if head in ("and", "or"):
-            parts = []
-            while tokens[pos : pos + 1] != [")"]:
-                parts.append(read())
-            pos += 1
+            return Rel(name, args)
+        if kind is And or kind is Or:
+            parts = until_close(read)
             if not parts:
                 raise FormulaError(f"{head} needs at least one part")
-            return And(tuple(parts)) if head == "and" else Or(tuple(parts))
-        if head in ("forall", "exists"):
-            var = atom_token("a variable")
-            body = read()
-            if need("')'") != ")":
-                raise FormulaError(f"{head} takes a variable and one formula")
-            return ForAll(var, body) if head == "forall" else Exists(var, body)
-        raise FormulaError(f"unknown operator {head!r}")
+            return kind(parts)
+        if kind is Eq or kind is Ne:
+            node, takes = kind(atom_token("a term"), atom_token("a term")), "exactly two terms"
+        elif kind is Not:
+            node, takes = Not(read()), "exactly one formula"
+        else:
+            node, takes = kind(atom_token("a variable"), read()), "a variable and one formula"
+        if need("')'") != ")":
+            raise FormulaError(f"{head} takes {takes}")
+        return node
 
-    out = read()
+    try:
+        out = read()
+    except RecursionError:
+        raise FormulaError("formula nests too deeply to read") from None
     if pos != len(tokens):
         raise FormulaError(f"trailing tokens after formula: {tokens[pos:]}")
     return out

@@ -118,6 +118,29 @@ def test_assemblies_past_the_dense_budget_are_usage_errors(capsys, command, n, d
     assert "exceeds cap" in err
 
 
+class Reached(Exception):
+    """Raised in place of the decomposition, to see whether a guard let it start."""
+
+
+@pytest.mark.parametrize(
+    "n,d,json_flag,refused",
+    [(8, 3, True, True), (6, 4, True, True), (5, 5, True, True), (7, 3, True, False), (8, 3, False, False)],
+)
+def test_dense_json_report_past_its_budget_is_usage_error(capsys, monkeypatch, n, d, json_flag, refused):
+    def reached(config):
+        raise Reached
+
+    monkeypatch.setattr(sec, "all_isotypic", reached)
+    argv = ["decompose", "--n", str(n), "--d", str(d)] + ["--json"] * json_flag
+    if not refused:
+        with pytest.raises(Reached):
+            cli.run(argv)
+        return
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert f"dim**2 = {(d**n) ** 2}" in err and str(cli.JSON_PAIR_CAP) in err
+
+
 def test_decompose_human_output(capsys):
     code, out, _ = run_cli(capsys, ["decompose", "--n", "2", "--d", "2"])
     assert code == 0
@@ -297,6 +320,20 @@ def test_bloch_negative_real_part_needs_equals_form(capsys):
     # z = (xi - eta)/(xi + eta) = (-1.5+i)/(0.5+i)
     z = (-1.5 + 1j) / (0.5 + 1j)
     assert json.loads(out)["z"] == pytest.approx([z.real, z.imag], abs=1e-15)
+
+
+def test_bloch_sweep_past_its_row_budget_is_usage_error(capsys):
+    from permsym import casebook
+
+    assert 1024**2 <= casebook.SWEEP_ROW_CAP < 1025**2
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="past the cap"):
+        casebook.bloch_sweep(1025)
+    code, out, err = run_cli(capsys, ["bloch", "--sweep", "100000"])
+    assert (code, out) == (2, "")
+    assert "past the cap" in err
+    # refused before any row is built
+    assert time.perf_counter() - start < 1.0
 
 
 def test_bloch_needs_arguments(capsys):
@@ -589,7 +626,10 @@ def test_unknown_subcommand_is_usage_error(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("error", [MemoryError(), np.linalg.LinAlgError("SVD did not converge")])
+@pytest.mark.parametrize(
+    "error",
+    [MemoryError(), np.linalg.LinAlgError("SVD did not converge"), RecursionError("maximum recursion depth exceeded")],
+)
 def test_memory_and_linear_algebra_failures_exit_3(capsys, monkeypatch, error):
     def fail(args):
         raise error
@@ -599,6 +639,45 @@ def test_memory_and_linear_algebra_failures_exit_3(capsys, monkeypatch, error):
     assert code == 3
     assert out == ""
     assert err.startswith(f"error: {type(error).__name__}") and err.count("\n") == 1
+
+
+P_MODEL = '{"domain": ["a"], "relations": {"P": {"arity": 1, "tuples": [["a"]]}}}'
+
+
+@pytest.mark.parametrize("command", ["classify", "symmetrise", "superselect"])
+def test_deeply_nested_matrix_and_vector_json_is_usage_error(command):
+    deep = "[" * 100_000
+    reader = hb.vector_from_json if command == "classify" else hb.matrix_from_json
+    with pytest.raises(ValueError, match="recursion"):
+        reader(deep)
+    assert run_with_stdin([command, "--n", "2", "--d", "2", "--input", "-"], deep) == (2, "")
+
+
+def test_deeply_nested_formula_is_usage_error(capsys, monkeypatch):
+    deep = "(not " * 3000 + "(rel P a)" + ")" * 3000
+    monkeypatch.setattr(sys, "stdin", io.StringIO(P_MODEL))
+    code, out, err = run_cli(capsys, ["model", "--input", "-", "--check-formula", deep])
+    assert (code, out) == (2, "")
+    assert err == "error: formula nests too deeply to read\n"
+
+
+@pytest.mark.parametrize("head", ["and", "or"])
+def test_four_hundred_nested_connectives_evaluate_and_print(capsys, monkeypatch, head):
+    text = f"({head} " * 400 + "(rel P a)" + ")" * 400
+    monkeypatch.setattr(sys, "stdin", io.StringIO(P_MODEL))
+    code, out, _ = run_cli(capsys, ["model", "--input", "-", "--check-formula", text])
+    assert code == 0
+    assert json.loads(out) == {"command": "model", "formula": text, "satisfied": True}
+
+
+def test_structure_description_past_the_recursion_limit_exits_3(capsys, monkeypatch):
+    # 1000 names are within the description budget, but the structure
+    # description nests 1000 quantifiers, deeper than the printer can recurse
+    names = [f"n{i}" for i in range(1000)]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"domain": names})))
+    code, out, err = run_cli(capsys, ["model", "--input", "-", "--describe", "structure"])
+    assert (code, out) == (3, "")
+    assert err.startswith("error: RecursionError") and err.count("\n") == 1
 
 
 def test_verify_all_rejects_malformed_config():

@@ -5,7 +5,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permsym import models as md
@@ -254,6 +254,163 @@ def test_descriptions_roundtrip_through_text(m):
 def test_parse_rejects_malformed_text(bad):
     with pytest.raises(md.FormulaError):
         md.parse_formula(bad)
+
+
+def test_parse_refuses_nesting_past_the_recursion_limit():
+    deep = "(not " * 3000 + "(rel P a)" + ")" * 3000
+    with pytest.raises(md.FormulaError, match="nests too deeply"):
+        md.parse_formula(deep)
+
+
+# ---------------------------------------------------------------------------
+# the tree walker that satisfies replaced, kept as its oracle
+
+
+def satisfies_by_walking(model, formula):
+    """Terms resolved against quantifier bindings first, then as domain
+    names; one branch per node kind."""
+    members = set(model.domain)
+    env = {}
+
+    def term(t):
+        got = env.get(t)
+        if got is not None:
+            return got
+        if t in members:
+            return t
+        raise md.FormulaError(f"unbound symbol {t!r} (not a quantified variable or a name)")
+
+    def ev(f):
+        if isinstance(f, md.Rel):
+            rel = model.relations.get(f.name)
+            if rel is None:
+                raise md.FormulaError(f"unknown relation {f.name!r}")
+            if len(f.args) != rel.arity:
+                raise md.FormulaError(
+                    f"relation {f.name!r} has arity {rel.arity}, got {len(f.args)} terms"
+                )
+            return tuple(term(t) for t in f.args) in rel.tuples
+        if isinstance(f, md.Not):
+            return not ev(f.body)
+        if isinstance(f, md.And):
+            return all(ev(p) for p in f.parts)
+        if isinstance(f, md.Or):
+            return any(ev(p) for p in f.parts)
+        if isinstance(f, md.Eq):
+            return term(f.left) == term(f.right)
+        if isinstance(f, md.Ne):
+            return term(f.left) != term(f.right)
+        if isinstance(f, (md.ForAll, md.Exists)):
+            shadowed = env.get(f.var)
+            try:
+                if isinstance(f, md.ForAll):
+                    for a in model.domain:
+                        env[f.var] = a
+                        if not ev(f.body):
+                            return False
+                    return True
+                for a in model.domain:
+                    env[f.var] = a
+                    if ev(f.body):
+                        return True
+                return False
+            finally:
+                if shadowed is None:
+                    env.pop(f.var, None)
+                else:
+                    env[f.var] = shadowed
+        raise md.FormulaError(f"not a formula node: {f!r}")
+
+    return ev(formula)
+
+
+def verdict(check, model, formula):
+    """The truth value, or the message of the FormulaError raised."""
+    try:
+        return check(model, formula)
+    except md.FormulaError as exc:
+        return f"FormulaError: {exc}"
+
+
+# names of the domain, variables (one of them named like a domain name), an
+# unbound symbol; R is binary, P unary and Nope unknown to every model
+TERM = st.sampled_from(["a", "b", "c", "x", "y", "x", "y", "zz"])
+VAR = st.sampled_from(["x", "y", "a"])
+ARGS = st.one_of(st.tuples(TERM), st.tuples(TERM, TERM), st.tuples(TERM, TERM, TERM))
+ATOM = st.one_of(
+    st.builds(md.Rel, st.just("R"), st.tuples(TERM, TERM)),
+    st.builds(md.Rel, st.just("P"), st.tuples(TERM)),
+    st.builds(md.Rel, st.sampled_from(["R", "P", "Nope"]), ARGS),
+    st.builds(md.Eq, TERM, TERM),
+    st.builds(md.Ne, TERM, TERM),
+)
+FORMULA = st.recursive(
+    ATOM,
+    lambda sub: st.one_of(
+        st.builds(md.Not, sub),
+        st.builds(md.And, st.lists(sub, min_size=1, max_size=3).map(tuple)),
+        st.builds(md.Or, st.lists(sub, min_size=1, max_size=3).map(tuple)),
+        st.builds(md.ForAll, VAR, sub),
+        st.builds(md.Exists, VAR, sub),
+    ),
+    max_leaves=10,
+)
+# half of them closed over x and y, so that fewer end at an unbound symbol
+SENTENCE = FORMULA | FORMULA.map(lambda f: md.ForAll("y", md.Exists("x", f)))
+
+
+@st.composite
+def small_models(draw):
+    domain = ABC[: draw(st.integers(1, 3))]
+    pairs = draw(st.sets(st.sampled_from(list(itertools.product(domain, repeat=2)))))
+    points = draw(st.sets(st.sampled_from(domain)))
+    return md.FiniteModel(
+        domain, {"R": md.Relation(2, frozenset(pairs)), "P": md.Relation(1, frozenset((p,) for p in points))}
+    )
+
+
+@settings(max_examples=400)
+@given(small_models(), SENTENCE)
+def test_satisfies_agrees_with_the_tree_walker(m, f):
+    assert verdict(md.satisfies, m, f) == verdict(satisfies_by_walking, m, f)
+
+
+LAZY_AND_SHADOWED = {
+    # an error in a branch that is never evaluated raises nothing
+    "(or (= a a) (rel Nope a))": True,
+    "(and (!= a a) (rel R a))": False,
+    "(or (rel P a) (= zz a))": True,
+    "(exists x (or (= x a) (rel Nope x)))": True,
+    "(forall x (and (= x b) (rel R x)))": False,
+    # ...and one that is evaluated raises
+    "(or (rel P b) (rel Nope a))": "FormulaError: unknown relation 'Nope'",
+    "(and (= a a) (rel R a))": "FormulaError: relation 'R' has arity 2, got 1 terms",
+    "(exists x (= x zz))": "FormulaError: unbound symbol 'zz' (not a quantified variable or a name)",
+    "(forall x (rel P x))": False,
+    # a variable named like a domain name shadows the name, and is restored
+    "(exists a (and (= a b) (rel R a a)))": True,
+    "(and (exists a (= a b)) (= a a) (rel P a) (!= a b))": True,
+    "(exists x (and (= x a) (exists x (= x b)) (= x a)))": True,
+    "(forall a (exists b (rel R b a)))": False,
+    # a variable is unbound again once its quantifier closes
+    "(and (exists x (= x a)) (= x a))": "FormulaError: unbound symbol 'x' (not a quantified variable or a name)",
+}
+
+
+@pytest.mark.parametrize("text,expected", LAZY_AND_SHADOWED.items(), ids=LAZY_AND_SHADOWED.keys())
+def test_satisfies_is_lazy_and_scopes_shadowed_names(text, expected):
+    m = md.FiniteModel(
+        ("a", "b"), {"R": md.Relation(2, frozenset({("b", "b")})), "P": md.Relation(1, frozenset({("a",)}))}
+    )
+    f = md.parse_formula(text)
+    assert verdict(md.satisfies, m, f) == verdict(satisfies_by_walking, m, f) == expected
+
+
+@given(FORMULA)
+def test_generated_formulas_roundtrip_through_text(f):
+    text = md.format_formula(f)
+    assert md.parse_formula(text) == f
+    assert md.format_formula(md.parse_formula(text)) == text
 
 
 # ---------------------------------------------------------------------------
