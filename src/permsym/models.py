@@ -37,9 +37,14 @@ Formulas serialise to s-expressions, e.g.
 the parser read from one table.  The evaluator binds every domain name to
 itself before it starts, so a term is one lookup in one environment, and
 treats each dual pair (= and !=, and and or, forall and exists) as one
-case with a polarity.  Errors are lazy: a branch that is never evaluated
-raises nothing.  Models and theories serialise to JSON through one dict
-form each, whose readers refuse anything else.
+case with a polarity.  Each formula is miniscoped once, its conjuncts
+moved out of each exists to the nearest quantifier that binds one of
+their terms (disjuncts out of each forall), so that a chain of exists
+prunes at the first atom that fails; the last formula's rewrite is kept
+for the models that follow.  The rewrite is walked only where no atom can
+raise, so errors stay lazy: a branch that is never evaluated raises
+nothing.  Models and theories serialise to JSON through one dict form
+each, whose readers refuse anything else.
 """
 
 from __future__ import annotations
@@ -69,6 +74,13 @@ class TheoryError(ValueError):
 # hilbert.DIM_CAP allows a dense operator.  Larger enumerations are
 # refused before they start.
 ATOM_CAP = 2**20
+
+# A structure description nests one exists per name, and the printer and
+# the parser take one frame per level: past about 990 names the printer
+# exhausts the default recursion limit of 1000.  At 2**9 names, with room
+# left for the caller's frames, the description prints and parse_formula
+# reads it back.  Larger models are refused before anything is built.
+STRUCTURE_NAME_CAP = 2**9
 
 
 @dataclass(frozen=True)
@@ -263,13 +275,124 @@ class Exists:
 Formula = Rel | Eq | Ne | Not | And | Or | ForAll | Exists
 
 
+def _miniscope(formula: Formula) -> tuple:
+    """The formula rewritten so that quantifiers prune, its free terms and
+    the (relation, arity) pairs it uses.  None in place of the rewrite when
+    no conjunct moved, or when some node is malformed (not a formula node,
+    unhashable terms) or nests past the recursion limit: the walker raises
+    for those only if it reaches them.
+
+    One bottom-up pass, one frame per nesting level.  Nested and/or are
+    flattened and quantified blocks put after the other parts.  Inside
+    exists x (A and ...), each conjunct without x free moves out of the
+    quantifier, and so on up to the nearest one that binds one of its free
+    terms; forall x (A or ...) likewise.  A quantifier keeps at least one
+    part, so the rewrite has the same truth value on every domain, the
+    empty one included, wherever no atom can raise.
+    """
+    used: set[tuple[str, int]] = set()
+    moved = False
+
+    def scope(f) -> tuple:
+        # (node, its free terms, and for an and/or node its (part, free)
+        # pairs); an atom's terms stay the tuple it holds
+        nonlocal moved
+        kind = type(f)
+        if kind is Rel:
+            used.add((f.name, len(f.args)))
+            return f, f.args, None
+        if kind is Eq or kind is Ne:
+            return f, (f.left, f.right), None
+        if kind is Not:
+            body, free, _ = scope(f.body)
+            return f if body is f.body else Not(body), free, None
+        if kind is And or kind is Or:
+            pairs, free = [], set()
+            for part in f.parts:
+                node, got, sub = scope(part)
+                free.update(got)
+                if type(node) is kind:
+                    pairs.extend(sub)
+                else:
+                    pairs.append((node, got))
+            return _junction(kind, pairs), free, pairs
+        if kind is ForAll or kind is Exists:
+            body, free, sub = scope(f.body)
+            free = set(free)
+            free.discard(f.var)
+            junction = type(body)
+            if junction is (And if kind is Exists else Or):
+                inner = [pair for pair in sub if f.var in pair[1]]
+                pairs = [pair for pair in sub if f.var not in pair[1]]
+                if inner and pairs:
+                    moved = True
+                    block_free = set()
+                    for _, got in inner:
+                        block_free.update(got)
+                    block_free.discard(f.var)
+                    block = inner[0][0] if len(inner) == 1 else _junction(junction, inner)
+                    pairs.append((kind(f.var, block), block_free))
+                    return _junction(junction, pairs), free, pairs
+            return kind(f.var, body), free, None
+        raise FormulaError(f"not a formula node: {f!r}")
+
+    try:
+        scoped, free, _ = scope(formula)
+    except (FormulaError, TypeError, RecursionError):
+        moved = False
+    if not moved:
+        return None, frozenset(), frozenset()
+    return scoped, frozenset(free), frozenset(used)
+
+
+def _junction(kind: type, pairs: list) -> Formula:
+    """The and/or of the parts of (part, free) pairs, quantified blocks last."""
+    pairs.sort(key=lambda pair: type(pair[0]) is ForAll or type(pair[0]) is Exists)
+    return kind(tuple(part for part, _ in pairs))
+
+
+def _clean(model: FiniteModel, env: dict, free: frozenset, used: frozenset) -> bool:
+    """No atom of a formula with these free terms and (relation, arity)
+    pairs can raise in the model, whichever the walker reaches first."""
+    if not env.keys() >= free:
+        return False
+    for name, arity in used:
+        rel = model.relations.get(name)
+        if rel is None or rel.arity != arity:
+            return False
+    return True
+
+
+# The last formula satisfies was asked and its _miniscope entry.  Callers
+# ask one formula of many models in a row, so one entry suffices, matched
+# by identity: an equality key hashes the frozen dataclass tree on every
+# call, which cost more than the rewrite saved.
+_last: tuple = (None, None, frozenset(), frozenset())
+
+
 def satisfies(model: FiniteModel, formula: Formula) -> bool:
     """Evaluate a closed formula in the model.
 
     Every domain name starts bound to itself, and quantifier bindings
     shadow it, so a term is one lookup; anything else is an unbound symbol
     and raises when it is reached.  Quantifiers range over the domain.
+
+    The walker evaluates the formula's miniscoped rewrite (see _miniscope),
+    in which exists x1 exists x2 (...) stops at the first atom that an
+    assignment of x1 fails, when nothing in the formula can raise in this
+    model: every relation it names exists with the arity it uses, and
+    every free term is a domain name.  The rewrite is made once per formula
+    and kept in one entry, matched by identity, for the calls that follow
+    with the same formula object.  The formula is walked as written, in its
+    own order, when it can raise, so that errors stay lazy (an error in a
+    branch that is never reached raises nothing), and when the rewrite
+    moved nothing or nests too deeply to walk.
     """
+    global _last
+    entry = _last
+    if entry[0] is not formula:
+        entry = _last = (formula, *_miniscope(formula))
+    _, scoped, free, used = entry
     env = {a: a for a in model.domain}
 
     def ev(f: Formula) -> bool:
@@ -308,6 +431,13 @@ def satisfies(model: FiniteModel, formula: Formula) -> bool:
         raise FormulaError(f"not a formula node: {f!r}")
 
     try:
+        if scoped is not None and _clean(model, env, free, used):
+            try:
+                return ev(scoped)
+            except RecursionError:
+                # an exists-chain nests three frames deep per quantifier in
+                # the rewrite, against one as written
+                pass
         return ev(formula)
     except KeyError as exc:
         raise FormulaError(
@@ -352,7 +482,12 @@ def state_description(model: FiniteModel) -> Formula:
 
 def structure_description(model: FiniteModel) -> Formula:
     """The existential closure of the state description with names turned
-    into variables; true in exactly the permute class of the model."""
+    into variables; true in exactly the permute class of the model.
+    Refused past STRUCTURE_NAME_CAP names."""
+    if model.size > STRUCTURE_NAME_CAP:
+        raise ValueError(
+            f"{model.size} names exceed the structure description cap {STRUCTURE_NAME_CAP}"
+        )
     to_var = {a: _fresh(f"x{i + 1}", model.domain) for i, a in enumerate(model.domain)}
     body = _description(model, to_var)
     for a in reversed(model.domain):

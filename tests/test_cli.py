@@ -670,14 +670,23 @@ def test_four_hundred_nested_connectives_evaluate_and_print(capsys, monkeypatch,
     assert json.loads(out) == {"command": "model", "formula": text, "satisfied": True}
 
 
-def test_structure_description_past_the_recursion_limit_exits_3(capsys, monkeypatch):
-    # 1000 names are within the description budget, but the structure
-    # description nests 1000 quantifiers, deeper than the printer can recurse
+def test_structure_description_past_the_name_cap_exits_2(capsys, monkeypatch):
+    # one nested exists per name: 1000 would exhaust the printer's recursion
     names = [f"n{i}" for i in range(1000)]
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"domain": names})))
     code, out, err = run_cli(capsys, ["model", "--input", "-", "--describe", "structure"])
-    assert (code, out) == (3, "")
-    assert err.startswith("error: RecursionError") and err.count("\n") == 1
+    assert (code, out) == (2, "")
+    assert err == f"error: 1000 names exceed the structure description cap {md.STRUCTURE_NAME_CAP}\n"
+
+
+def test_structure_description_at_the_name_cap_prints_and_reads_back(capsys, monkeypatch):
+    names = [f"n{i}" for i in range(md.STRUCTURE_NAME_CAP)]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"domain": names})))
+    code, out, _ = run_cli(capsys, ["model", "--input", "-", "--describe", "structure"])
+    assert code == 0
+    text = out.strip()
+    assert text.count("(exists ") == len(names)
+    assert md.format_formula(md.parse_formula(text)) == text
 
 
 def test_verify_all_rejects_malformed_config():

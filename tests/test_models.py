@@ -336,14 +336,21 @@ def verdict(check, model, formula):
 # unbound symbol; R is binary, P unary and Nope unknown to every model
 TERM = st.sampled_from(["a", "b", "c", "x", "y", "x", "y", "zz"])
 VAR = st.sampled_from(["x", "y", "a"])
-ARGS = st.one_of(st.tuples(TERM), st.tuples(TERM, TERM), st.tuples(TERM, TERM, TERM))
-ATOM = st.one_of(
-    st.builds(md.Rel, st.just("R"), st.tuples(TERM, TERM)),
-    st.builds(md.Rel, st.just("P"), st.tuples(TERM)),
-    st.builds(md.Rel, st.sampled_from(["R", "P", "Nope"]), ARGS),
-    st.builds(md.Eq, TERM, TERM),
-    st.builds(md.Ne, TERM, TERM),
-)
+
+
+def atoms(term):
+    """R and P atoms, wrong arities, an unknown relation and (in)equalities."""
+    args = st.one_of(st.tuples(term), st.tuples(term, term), st.tuples(term, term, term))
+    return st.one_of(
+        st.builds(md.Rel, st.just("R"), st.tuples(term, term)),
+        st.builds(md.Rel, st.just("P"), st.tuples(term)),
+        st.builds(md.Rel, st.sampled_from(["R", "P", "Nope"]), args),
+        st.builds(md.Eq, term, term),
+        st.builds(md.Ne, term, term),
+    )
+
+
+ATOM = atoms(TERM)
 FORMULA = st.recursive(
     ATOM,
     lambda sub: st.one_of(
@@ -373,6 +380,105 @@ def small_models(draw):
 @given(small_models(), SENTENCE)
 def test_satisfies_agrees_with_the_tree_walker(m, f):
     assert verdict(md.satisfies, m, f) == verdict(satisfies_by_walking, m, f)
+
+
+# the shape the rewrite changes: exists...exists (and ...) and its dual
+# forall...forall (or ...), whose parts mention some of the variables and
+# names; some parts are nested junctions or dual blocks, and in half of the
+# sentences an atom may raise (unknown relation, wrong arity, unbound symbol)
+CLOSED_TERM = st.sampled_from(["x", "y", "z", "x", "y", "z", "a", "b"])
+CLOSED_ATOM = st.one_of(
+    st.builds(md.Rel, st.just("R"), st.tuples(CLOSED_TERM, CLOSED_TERM)),
+    st.builds(md.Rel, st.just("P"), st.tuples(CLOSED_TERM)),
+    st.builds(md.Eq, CLOSED_TERM, CLOSED_TERM),
+    st.builds(md.Ne, CLOSED_TERM, CLOSED_TERM),
+)
+RISKY_ATOM = st.one_of(CLOSED_ATOM, CLOSED_ATOM, atoms(CLOSED_TERM | st.just("zz")))
+
+
+@st.composite
+def prenex_sentences(draw):
+    quantifier, junction = draw(st.sampled_from([(md.Exists, md.And), (md.ForAll, md.Or)]))
+    dual_quantifier, dual_junction = {md.Exists: (md.ForAll, md.Or), md.ForAll: (md.Exists, md.And)}[quantifier]
+    atom = draw(st.sampled_from([CLOSED_ATOM, RISKY_ATOM]))
+    literal = atom | atom.map(md.Not)
+    literals = st.lists(literal, min_size=1, max_size=3).map(tuple)
+    part = st.one_of(
+        literal,
+        literal,
+        literals.map(junction),
+        st.builds(dual_quantifier, st.sampled_from(["z", "w"]), literals.map(dual_junction)),
+    )
+    body = junction(tuple(draw(st.lists(part, min_size=2, max_size=6))))
+    # usually x, y and z, in any order; a repeat, or "a" shadowing a name
+    variables = draw(st.permutations(["x", "y", "z"]).flatmap(
+        lambda xyz: st.sampled_from([xyz, xyz[:2], xyz + ["x"], xyz + ["a"]])
+    ))
+    for var in variables:
+        body = quantifier(var, body)
+    return body
+
+
+@settings(max_examples=400)
+@given(small_models(), prenex_sentences())
+def test_miniscoped_prenex_sentences_agree_with_the_tree_walker(m, f):
+    assert verdict(md.satisfies, m, f) == verdict(satisfies_by_walking, m, f)
+
+
+# models asked one formula object in a row: R binary or unary, the same
+# domain in another order, a domain without the constant b, a larger one
+ONE_FORMULA_MODELS = [
+    md.FiniteModel(("a", "b"), {"R": md.Relation(2, frozenset({("a", "b"), ("b", "b")})), "P": md.Relation(1, frozenset({("a",)}))}),
+    md.FiniteModel(("a", "b"), {"R": md.Relation(1, frozenset({("a",)})), "P": md.Relation(1, frozenset({("a",)}))}),
+    md.FiniteModel(("b", "a"), {"R": md.Relation(2, frozenset({("a", "b"), ("b", "b")})), "P": md.Relation(1, frozenset({("a",)}))}),
+    md.FiniteModel(("a",), {"R": md.Relation(2, frozenset({("a", "a")})), "P": md.Relation(1, frozenset({("a",)}))}),
+    md.FiniteModel(ABC, {"R": md.Relation(2, frozenset({("c", "b"), ("b", "c")})), "P": md.Relation(1, frozenset())}),
+]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(exists x (exists y (and (rel R x y) (rel P x) (= y b))))",
+        "(exists x (exists y (and (rel R y x) (!= x y) (rel P b))))",
+        "(forall x (forall y (or (rel R x y) (not (rel P y)) (= x b))))",
+        "(exists x (and (rel R x b) (exists y (and (rel R b y) (rel P y)))))",
+    ],
+)
+def test_one_formula_asked_of_models_that_differ(text):
+    f = md.parse_formula(text)
+    for models in (ONE_FORMULA_MODELS, ONE_FORMULA_MODELS[::-1]):
+        got = [verdict(md.satisfies, m, f) for m in models]
+        assert got == [verdict(satisfies_by_walking, m, f) for m in models]
+
+
+@settings(max_examples=100)
+@given(prenex_sentences())
+def test_one_prenex_sentence_asked_of_models_that_differ(f):
+    got = [verdict(md.satisfies, m, f) for m in ONE_FORMULA_MODELS]
+    assert got == [verdict(satisfies_by_walking, m, f) for m in ONE_FORMULA_MODELS]
+
+
+def test_structure_descriptions_on_two_names_agree_with_the_tree_walker():
+    for domain in (("a",), ("a", "b")):
+        space = list(md.enumerate_models(domain, {"R": 2, "P": 1}))
+        for target in space:
+            desc = md.structure_description(target)
+            hits = [m for m in space if md.satisfies(m, desc)]
+            assert hits == [m for m in space if satisfies_by_walking(m, desc)]
+            assert set(hits) == set(md.permute_class(target))
+
+
+def test_structure_descriptions_are_rewritten_to_prune_after_each_variable():
+    m = md.FiniteModel(("y", "x1"), {"R": md.Relation(1, frozenset({("y",)}))})
+    scoped, free, used = md._miniscope(md.structure_description(m))
+    assert md.format_formula(scoped) == (
+        "(exists _x1 (and (rel R _x1) (exists x2 (and (not (rel R x2)) (!= _x1 x2) "
+        "(forall _y (or (= _y _x1) (= _y x2)))))))"
+    )
+    assert (free, used) == (frozenset(), frozenset({("R", 1)}))
+    # a state description moves nothing, and is walked as written
+    assert md._miniscope(md.state_description(m))[0] is None
 
 
 LAZY_AND_SHADOWED = {
