@@ -43,6 +43,22 @@ def parse_complex(text: str) -> complex:
         raise ValueError(f"cannot parse complex number {text!r}") from exc
 
 
+def tolerance(text: str) -> float:
+    """argparse type of --tolerance: a finite number >= 0."""
+    value = float(text)
+    if not 0 <= value < math.inf:  # false for nan too
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+    return value
+
+
+def sample_count(text: str) -> int:
+    """argparse type of --samples: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return value
+
+
 def _fmt_complex(z: complex | None) -> list[float] | str:
     return "inf" if z is None else [float(z.real), float(z.imag)]
 
@@ -396,15 +412,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-identities", help="check the two trace identities")
     add_nd(p)
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=sample_count, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tolerance", type=float, default=hilbert.EPS_ABS)
+    p.add_argument("--tolerance", type=tolerance, default=hilbert.EPS_ABS)
     p.set_defaults(func=_cmd_verify_identities)
 
     p = sub.add_parser("classify", help="sector weights of a state vector")
     add_nd(p)
     p.add_argument("--input", required=True, help="vector JSON file, or - for stdin")
-    p.add_argument("--tolerance", type=float, default=hilbert.EPS_ABS)
+    p.add_argument("--tolerance", type=tolerance, default=hilbert.EPS_ABS)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("superselect", help="pinch a state by the sector family")
@@ -426,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fig3", help="certify the three-coin paraparticle plane")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tolerance", type=float, default=hilbert.EPS_ABS)
+    p.add_argument("--tolerance", type=tolerance, default=hilbert.EPS_ABS)
     p.set_defaults(func=_cmd_fig3)
 
     p = sub.add_parser("model", help="inspect a finite model (JSON in)")

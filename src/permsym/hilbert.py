@@ -421,6 +421,12 @@ def _number(x) -> float:
     return float(x)
 
 
+def _integer(x) -> int:
+    if type(x) is not int:  # type(), not isinstance(): JSON true and false are not integers
+        raise TypeError(f"{x!r} is not an integer")
+    return x
+
+
 def _entries_from_json(data) -> np.ndarray:
     """[[re, im], ...] as a complex array of finite entries."""
     try:
@@ -434,7 +440,7 @@ def _entries_from_json(data) -> np.ndarray:
 def matrix_from_json(text: str) -> np.ndarray:
     try:
         obj = json.loads(text)
-        rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
+        rows, cols, data = _integer(obj["rows"]), _integer(obj["cols"]), obj["data"]
     except (json.JSONDecodeError, RecursionError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"bad matrix JSON: {exc}") from exc
     flat = _entries_from_json(data)
@@ -457,7 +463,7 @@ def vector_to_json(v: np.ndarray) -> str:
 def vector_from_json(text: str) -> np.ndarray:
     try:
         obj = json.loads(text)
-        length, data = int(obj["length"]), obj["data"]
+        length, data = _integer(obj["length"]), obj["data"]
     except (json.JSONDecodeError, RecursionError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"bad vector JSON: {exc}") from exc
     flat = _entries_from_json(data)

@@ -23,6 +23,9 @@ invariance residual must stay below EPS_ABS; a failure raises
 :class:`DecompositionError`.  Invariance is asked of the n-1 adjacent
 transpositions only: they generate S_n, and a residual r on them bounds
 that of any pi by l(pi) r, l(pi) <= C(n, 2) its length as a word in them.
+Both run on the ray's real vectors in its weight block, with index maps
+built once per block; :func:`invariance_residual` and
+:func:`compressed_commutant_dimension` run them on the whole space.
 
 An isotypic component is the sum of its rays, counted against the
 hook-content formula s_lambda(1^d).  The sector projectors are closed
@@ -150,6 +153,29 @@ class IsotypicComponent:
         return sum((ray.projector() for ray in self.rays), np.zeros((self.config.dim,) * 2, complex))
 
 
+def _index_maps(config: AssemblyConfig, perms: list, index: np.ndarray) -> list[np.ndarray]:
+    """Map t of each P(pi) on the weight blocks ``index``: P(pi) e_index[i] = e_index[t[i]]."""
+    local = np.full(config.dim, -1)
+    local[index] = np.arange(len(index))
+    return [local[hilbert.perm_operator(config, p).target[index]] for p in perms]
+
+
+def _leak(vectors: np.ndarray, maps: list[np.ndarray]) -> float:
+    """Largest spectral norm of P v - v v^dagger P v over the index maps."""
+    worst = 0.0
+    for t in maps:
+        moved = np.empty_like(vectors)
+        moved[t] = vectors
+        leak = moved - vectors @ (vectors.conj().T @ moved)
+        worst = max(worst, float(np.linalg.norm(leak, 2)))
+    return worst
+
+
+def _traces(vectors: np.ndarray, maps: list[np.ndarray]) -> np.ndarray:
+    """Tr v^dagger P v for each index map."""
+    return np.array([np.vdot(vectors[t], vectors) for t in maps])
+
+
 def invariance_residual(config: AssemblyConfig, basis: np.ndarray) -> float:
     """Largest spectral norm, over the adjacent transpositions s = (k k+1),
     of the part of P(s) basis leaking out of span(basis).
@@ -160,20 +186,8 @@ def invariance_residual(config: AssemblyConfig, basis: np.ndarray) -> float:
     so a residual r here bounds the leak of every pi by l(pi) r, where
     l(pi) <= C(n, 2) is its length as a word in adjacent transpositions.
     """
-    worst = 0.0
-    for op in hilbert.generator_operators(config):
-        moved = np.empty_like(basis)
-        moved[op.target, :] = basis
-        leak = moved - basis @ (basis.conj().T @ moved)
-        worst = max(worst, float(np.linalg.norm(leak, 2)))
-    return worst
-
-
-def _character(config: AssemblyConfig, basis: np.ndarray) -> np.ndarray:
-    """Tr B^dagger P(c) B for one representative c of each conjugacy class,
-    in the column order of :func:`permsym.symgroup.character_table`."""
-    reps = [c.representative for c in symgroup.conjugacy_classes(config.n)]
-    return np.array([np.vdot(basis[hilbert.perm_operator(config, c).target], basis) for c in reps])
+    generators = symgroup.adjacent_transpositions(config.n)
+    return _leak(basis, _index_maps(config, generators, np.arange(config.dim)))
 
 
 def compressed_commutant_dimension(config: AssemblyConfig, basis: np.ndarray) -> int:
@@ -185,9 +199,9 @@ def compressed_commutant_dimension(config: AssemblyConfig, basis: np.ndarray) ->
     which is 1 exactly when the span is irreducible (Schur).  The value is
     only meaningful once :func:`invariance_residual` has certified the span.
     """
-    sizes = np.array([c.size for c in symgroup.conjugacy_classes(config.n)])
-    norm = float(sizes @ np.abs(_character(config, basis)) ** 2) / math.factorial(config.n)
-    return round(norm)
+    classes = symgroup.conjugacy_classes(config.n)
+    traces = _traces(basis, _index_maps(config, [c.representative for c in classes], np.arange(config.dim)))
+    return round(float(np.array([c.size for c in classes]) @ np.abs(traces) ** 2) / math.factorial(config.n))
 
 
 def _block_operators(config: AssemblyConfig, index: np.ndarray) -> list[np.ndarray]:
@@ -195,12 +209,9 @@ def _block_operators(config: AssemblyConfig, index: np.ndarray) -> list[np.ndarr
     on its words: T_2, ..., T_d, then sum_k X_k^2."""
     n, b = config.n, len(index)
     letters = hilbert._letters(config)[:, index]
-    local = np.full(config.dim, -1)
-    local[index] = np.arange(b)
-    swaps = {
-        (k, l): local[hilbert.perm_operator(config, symgroup.from_cycles(n, [(k + 1, l + 1)])).target[index]]
-        for k, l in itertools.combinations(range(n), 2)
-    }
+    slot_pairs = list(itertools.combinations(range(n), 2))
+    transpositions = [symgroup.from_cycles(n, [(k + 1, l + 1)]) for k, l in slot_pairs]
+    swaps = dict(zip(slot_pairs, _index_maps(config, transpositions, index)))
 
     def swap_sum(pairs, below: int) -> np.ndarray:
         op = np.zeros((b, b))
@@ -217,15 +228,19 @@ def _block_operators(config: AssemblyConfig, index: np.ndarray) -> list[np.ndarr
 
 def assembly_rays(config: AssemblyConfig) -> list[GeneralisedRay]:
     """All generalised rays of the assembly, grouped by partition in the
-    order of :func:`permsym.symgroup.partitions`, each certified.
+    order of :func:`permsym.symgroup.partitions`, each certified in its block.
 
     Raises :class:`DecompositionError` when a joint eigenspace of a weight
     block is not invariant or its character is not irreducible.
     """
     table = symgroup.character_table(config.n)
     characters = np.array(table.values)
+    representatives = [c.representative for c in symgroup.conjugacy_classes(config.n)]
+    generators = symgroup.adjacent_transpositions(config.n)
     rays: list[GeneralisedRay] = []
     for index in hilbert.weight_blocks(config):
+        class_maps = _index_maps(config, representatives, index)
+        generator_maps = _index_maps(config, generators, index)
         spaces = [np.eye(len(index))]
         for op in _block_operators(config, index):
             finer = []
@@ -235,16 +250,16 @@ def assembly_rays(config: AssemblyConfig) -> list[GeneralisedRay]:
                 finer += [v @ eigvecs[:, labels == label] for label in np.unique(labels)]
             spaces = finer
         for v in spaces:
-            basis = np.zeros((config.dim, v.shape[1]), dtype=complex)
-            basis[index] = v
-            error = np.abs(characters - _character(config, basis)).max(axis=1)
+            error = np.abs(characters - _traces(v, class_maps)).max(axis=1)
             row = int(np.argmin(error))
-            residual = invariance_residual(config, basis)
+            residual = _leak(v, generator_maps)
             if error[row] > EPS_ABS or residual > EPS_ABS:
                 raise DecompositionError(
                     f"a {v.shape[1]}-dimensional eigenspace is no certified ray: character error "
                     f"{error[row]:.3g} against {table.irrep_labels[row]}, invariance residual {residual:.3g}"
                 )
+            basis = np.zeros((config.dim, v.shape[1]), dtype=complex)
+            basis[index] = v
             rays.append(GeneralisedRay(config, table.irrep_labels[row], basis))
     order = {shape: k for k, shape in enumerate(table.irrep_labels)}
     return sorted(rays, key=lambda ray: order[ray.shape])

@@ -220,6 +220,32 @@ def test_verify_identities_unreachable_tolerance_fails(capsys):
     assert json.loads(out)["pass"] is False
 
 
+HH = hb.vector_to_json(hb.basis_state(hb.AssemblyConfig(2, 2), (0, 0)).amplitudes)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--n", "2", "--d", "2", "--input", "-", "--tolerance", "-1"],
+        ["classify", "--n", "2", "--d", "2", "--input", "-", "--tolerance", "nan"],
+        ["classify", "--n", "2", "--d", "2", "--input", "-", "--tolerance", "inf"],
+        ["verify-identities", "--n", "2", "--d", "2", "--samples", "0"],
+        ["verify-identities", "--n", "2", "--d", "2", "--samples", "-3"],
+        ["verify-identities", "--n", "2", "--d", "2", "--samples", "2", "--tolerance", "nan"],
+        ["verify-identities", "--n", "2", "--d", "2", "--samples", "2", "--tolerance", "-0.5"],
+        ["fig3", "--tolerance", "-1"],
+        ["fig3", "--tolerance", "nan"],
+    ],
+    ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
+)
+def test_nonsensical_tolerance_or_sample_count_is_usage_error(capsys, monkeypatch, argv):
+    # refused by argparse, before any work and before any output
+    monkeypatch.setattr(sys, "stdin", io.StringIO(HH))
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert f"argument {argv[-2]}: must be" in err
+
+
 def test_classify_reads_stdin(capsys, monkeypatch):
     v = np.zeros(4, dtype=complex)
     v[1] = 1.0  # |HT>
@@ -741,7 +767,14 @@ BAD_ENTRY = st.one_of(
     st.text(max_size=3),
     st.dictionaries(st.text(max_size=2), NUMBER, max_size=3),
 )
-BAD_HEADER = st.one_of(st.none(), st.text(max_size=3), st.lists(NUMBER, max_size=2), st.just(math.inf))
+BAD_HEADER = st.one_of(
+    st.none(),
+    st.booleans(),  # JSON true and false are not integers
+    st.sampled_from([2.0, 2.9, math.inf]),  # nor are floats, integral or not
+    st.text(max_size=3),
+    st.text("0123456789", min_size=1, max_size=2),  # nor digit strings
+    st.lists(NUMBER, max_size=2),
+)
 
 
 @st.composite

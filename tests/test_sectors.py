@@ -248,6 +248,22 @@ def test_an_unsplit_eigenspace_fails_its_certificate(monkeypatch):
         sec.assembly_rays(cfg)
 
 
+@pytest.mark.parametrize("n,d", [(4, 3), (5, 3)])
+def test_certificates_are_built_per_block_not_per_ray(n, d, monkeypatch):
+    # per weight block: C(n, 2) transpositions for the split, p(n) class
+    # representatives and n-1 adjacent swaps for the certificates
+    cfg = hb.AssemblyConfig(n, d)
+    maps, classes = [], []
+    perm_operator, conjugacy_classes = hb.perm_operator, sg.conjugacy_classes
+    monkeypatch.setattr(hb, "perm_operator", lambda config, perm: maps.append(perm) or perm_operator(config, perm))
+    monkeypatch.setattr(sg, "conjugacy_classes", lambda k: classes.append(k) or conjugacy_classes(k))
+    rays = sec.assembly_rays(cfg)
+    blocks = len(hb.weight_blocks(cfg))
+    assert len(rays) > blocks
+    assert len(maps) <= blocks * (math.comb(n, 2) + len(sg.partitions(n)) + n - 1)
+    assert len(classes) <= 2
+
+
 @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (2, 3), (3, 3)])
 def test_assembly_rays_exhaust_the_space(n, d):
     cfg = hb.AssemblyConfig(n, d)
