@@ -15,6 +15,7 @@ form.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -97,47 +98,45 @@ def _cmd_decompose(args) -> int:
     r_s = ranks[(config.n,)]
     r_a = ranks[(1,) * config.n]
     r_p = total - r_s - r_a
-    components = []
-    for comp in isotypic:
-        components.append(
-            {
-                "partition": list(comp.shape),
-                "rank": comp.rank,
-                "irrep_dimension": comp.dim_irrep,
-                "copies": comp.copies,
-                "rays": [
-                    {
-                        "dim": ray.dim,
-                        "vectors": [
-                            hilbert.vector_obj(ray.basis[:, k]) for k in range(ray.dim)
-                        ],
-                    }
-                    for ray in comp.rays
-                ],
-            }
-        )
-    report = {
-        "command": "decompose",
-        "n": args.n,
-        "d": args.d,
-        "seed": None,
-        "tolerance": sectors.EPS_RANK,
-        "ranks": {"symmetric": r_s, "antisymmetric": r_a, "para": r_p},
-        "components": components,
-    }
-    if args.json:
-        _emit(report)
-    else:
+    if not args.json:
         print(f"sector ranks for n={args.n}, d={args.d} (dim {config.dim}):")
         print(f"  symmetric     {r_s}")
         print(f"  antisymmetric {r_a}")
         print(f"  para          {r_p}")
-        for comp in components:
-            dims = ", ".join(str(r["dim"]) for r in comp["rays"]) or "none"
+        for comp in isotypic:
+            dims = ", ".join(str(ray.dim) for ray in comp.rays) or "none"
             print(
-                f"  partition {comp['partition']}: rank {comp['rank']} = "
-                f"{comp['copies']} x dim {comp['irrep_dimension']} (rays: {dims})"
+                f"  partition {list(comp.shape)}: rank {comp.rank} = "
+                f"{comp.copies} x dim {comp.dim_irrep} (rays: {dims})"
             )
+        return 0
+    components = [
+        {
+            "partition": list(comp.shape),
+            "rank": comp.rank,
+            "irrep_dimension": comp.dim_irrep,
+            "copies": comp.copies,
+            "rays": [
+                {
+                    "dim": ray.dim,
+                    "vectors": [hilbert.vector_obj(ray.basis[:, k]) for k in range(ray.dim)],
+                }
+                for ray in comp.rays
+            ],
+        }
+        for comp in isotypic
+    ]
+    _emit(
+        {
+            "command": "decompose",
+            "n": args.n,
+            "d": args.d,
+            "seed": None,
+            "tolerance": sectors.EPS_RANK,
+            "ranks": {"symmetric": r_s, "antisymmetric": r_a, "para": r_p},
+            "components": components,
+        }
+    )
     return 0
 
 
@@ -158,8 +157,9 @@ def _cmd_verify_identities(args) -> int:
     for _ in range(args.samples):
         w = hilbert.random_density(config, rng)
         q = hilbert.random_observable(config, rng)
-        worst_a = max(worst_a, symmetriser.verify_identity_a(config, w, q))
-        worst_b = max(worst_b, symmetriser.verify_identity_b(config, w, q))
+        res_a, res_b = symmetriser.trace_identity_residuals(config, w, q)
+        worst_a = max(worst_a, res_a)
+        worst_b = max(worst_b, res_b)
     ok = worst_a <= args.tolerance and worst_b <= args.tolerance
     _emit(
         {
@@ -387,7 +387,12 @@ def _cmd_toy_theories(args) -> int:
 # ---------------------------------------------------------------------------
 # parser wiring
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process on the first :func:`run`.
+
+    Subcommand NAME is handled by ``_cmd_NAME``, with ``-`` read as ``_``.
+    """
     parser = argparse.ArgumentParser(
         prog="permsym",
         description="permutation symmetry workbench: sectors, the symmetriser, "
@@ -403,34 +408,28 @@ def build_parser() -> argparse.ArgumentParser:
     add_nd(p)
     p.add_argument("--seed", type=int, default=0, help="accepted and ignored: the split draws nothing")
     p.add_argument("--json", action="store_true", help="emit the full JSON report")
-    p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("symmetrise", help="group-average a matrix (JSON in, JSON out)")
     add_nd(p)
     p.add_argument("--input", required=True, help="matrix JSON file, or - for stdin")
-    p.set_defaults(func=_cmd_symmetrise)
 
     p = sub.add_parser("verify-identities", help="check the two trace identities")
     add_nd(p)
     p.add_argument("--samples", type=sample_count, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tolerance", type=tolerance, default=hilbert.EPS_ABS)
-    p.set_defaults(func=_cmd_verify_identities)
 
     p = sub.add_parser("classify", help="sector weights of a state vector")
     add_nd(p)
     p.add_argument("--input", required=True, help="vector JSON file, or - for stdin")
     p.add_argument("--tolerance", type=tolerance, default=hilbert.EPS_ABS)
-    p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("superselect", help="pinch a state by the sector family")
     add_nd(p)
     p.add_argument("--input", required=True, help="matrix JSON file, or - for stdin")
-    p.set_defaults(func=_cmd_superselect)
 
     p = sub.add_parser("coins", help="two-coin toss statistics, exact fractions")
     p.add_argument("--measure", required=True, choices=casebook.COIN_MEASURES)
-    p.set_defaults(func=_cmd_coins)
 
     p = sub.add_parser("bloch", help="ratio coordinates on the two-coin ball")
     p.add_argument(
@@ -438,12 +437,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--eta", help="amplitude of |TH>, e.g. --eta=-1-2i")
     p.add_argument("--sweep", type=int, help="emit a CSV sphere grid with K steps")
-    p.set_defaults(func=_cmd_bloch)
 
     p = sub.add_parser("fig3", help="certify the three-coin paraparticle plane")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tolerance", type=tolerance, default=hilbert.EPS_ABS)
-    p.set_defaults(func=_cmd_fig3)
 
     p = sub.add_parser("model", help="inspect a finite model (JSON in)")
     p.add_argument("--input", required=True, help="model JSON file, or - for stdin")
@@ -454,15 +451,12 @@ def build_parser() -> argparse.ArgumentParser:
     action.add_argument("--check-formula", metavar="SEXPR")
     action.add_argument("--apply-perm", metavar="PERM", help="e.g. '(1 2)' or '[2,1,3]'")
     action.add_argument("--pad", metavar="REL[:ARITY]")
-    p.set_defaults(func=_cmd_model)
 
     p = sub.add_parser("theory", help="permutability and fixity of a theory (JSON in)")
     p.add_argument("--input", required=True, help="theory JSON file, or - for stdin")
     p.add_argument("--quotient", action="store_true")
-    p.set_defaults(func=_cmd_theory)
 
     p = sub.add_parser("toy-theories", help="the renovators and scribes examples")
-    p.set_defaults(func=_cmd_toy_theories)
 
     return parser
 
@@ -474,8 +468,9 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 0 for --help; map real parse errors to 2
         return 0 if exc.code in (0, None) else 2
+    command = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except sectors.DecompositionError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1

@@ -14,10 +14,11 @@ identities follow and are exposed as residual checks:
 
 so states with equal Sigma-images ("~-equivalent") are indistinguishable
 by symmetric observables, and symmetric states cannot distinguish
-observables with equal Sigma-images.  Superselection (pinching by any
-projector family that commutes with the observables in play) preserves
-all such expectations; the sector family of :mod:`permsym.sectors` is the
-physically motivated instance.
+observables with equal Sigma-images.  :func:`trace_identity_residuals`
+measures both from one Sigma(W) and one Sigma(Q).  Superselection
+(pinching by any projector family that commutes with the observables in
+play) preserves all such expectations; the sector family of
+:mod:`permsym.sectors` is the physically motivated instance.
 
 satisfies_sp / satisfies_ip decide the two permutation-invariance notions
 for states: restriction to the bosonic+fermionic subspace with full
@@ -26,8 +27,6 @@ a fixed list of observables.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,53 +51,27 @@ def sim_equivalent(
     return float(np.max(np.abs(symmetrise(config, a) - symmetrise(config, b)))) <= tol
 
 
-def verify_identity_a(config: AssemblyConfig, w: np.ndarray, q: np.ndarray) -> float:
-    """Residual of Tr(Sigma(W) Q) = Tr(Sigma(W) Sigma(Q))."""
+def trace_identity_residuals(
+    config: AssemblyConfig, w: np.ndarray, q: np.ndarray
+) -> tuple[float, float]:
+    """Residuals of identities (a) and (b), from one Sigma(W) and one Sigma(Q)."""
     sw = symmetrise(config, w)
     sq = symmetrise(config, q)
-    return abs(complex(np.sum(sw.T * q)) - complex(np.sum(sw.T * sq)))
+    both = complex(np.sum(sw.T * sq))
+    return (
+        abs(complex(np.sum(sw.T * q)) - both),
+        abs(complex(np.sum(w.T * sq)) - both),
+    )
+
+
+def verify_identity_a(config: AssemblyConfig, w: np.ndarray, q: np.ndarray) -> float:
+    """Residual of Tr(Sigma(W) Q) = Tr(Sigma(W) Sigma(Q))."""
+    return trace_identity_residuals(config, w, q)[0]
 
 
 def verify_identity_b(config: AssemblyConfig, w: np.ndarray, q: np.ndarray) -> float:
     """Residual of Tr(W Sigma(Q)) = Tr(Sigma(W) Sigma(Q))."""
-    sw = symmetrise(config, w)
-    sq = symmetrise(config, q)
-    return abs(complex(np.sum(w.T * sq)) - complex(np.sum(sw.T * sq)))
-
-
-@dataclass(frozen=True)
-class ProjectorOnOperatorsReport:
-    """Numerical evidence that Sigma is an HS-orthogonal projector."""
-
-    samples: int
-    seed: int
-    tolerance: float
-    max_idempotence_residual: float
-    max_selfadjoint_residual: float
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.max_idempotence_residual <= self.tolerance
-            and self.max_selfadjoint_residual <= self.tolerance
-        )
-
-
-def is_projector_on_operator_space(
-    config: AssemblyConfig, samples: int = 20, seed: int = 0, tol: float = EPS_ABS
-) -> ProjectorOnOperatorsReport:
-    """Check Sigma(Sigma(A)) = Sigma(A) and <Sigma(X), Y> = <X, Sigma(Y)>
-    on seeded random operator pairs."""
-    rng = hilbert.rng_for(seed)
-    idem = 0.0
-    adj = 0.0
-    for _ in range(samples):
-        x = hilbert.random_observable(config, rng)
-        y = hilbert.random_observable(config, rng)
-        sx = symmetrise(config, x)
-        idem = max(idem, float(np.max(np.abs(symmetrise(config, sx) - sx))))
-        adj = max(adj, abs(hs_inner(sx, y) - hs_inner(x, symmetrise(config, y))))
-    return ProjectorOnOperatorsReport(samples, seed, tol, idem, adj)
+    return trace_identity_residuals(config, w, q)[1]
 
 
 # ---------------------------------------------------------------------------

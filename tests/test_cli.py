@@ -1,5 +1,6 @@
 """Command-line surface: outputs, determinism, exit codes."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -149,6 +150,21 @@ def test_decompose_human_output(capsys):
     assert "para          0" in out
 
 
+def test_decompose_text_report_builds_no_vectors(capsys, monkeypatch):
+    def refuse(v):
+        raise AssertionError("the text report built a ray vector")
+
+    monkeypatch.setattr(hb, "vector_obj", refuse)
+    code, out, _ = run_cli(capsys, ["decompose", "--n", "4", "--d", "3"])
+    assert code == 0
+    assert out.splitlines()[:4] == [
+        "sector ranks for n=4, d=3 (dim 81):",
+        "  symmetric     15",
+        "  antisymmetric 0",
+        "  para          66",
+    ]
+
+
 def test_decompose_is_byte_deterministic(capsys):
     argv = ["decompose", "--n", "3", "--d", "2", "--seed", "5", "--json"]
     _, first, _ = run_cli(capsys, argv)
@@ -218,6 +234,30 @@ def test_verify_identities_unreachable_tolerance_fails(capsys):
     )
     assert code == 1
     assert json.loads(out)["pass"] is False
+
+
+@pytest.mark.parametrize("n,d", [(3, 2), (4, 3)])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_verify_identities_symmetrises_twice_per_sample(capsys, monkeypatch, n, d, seed):
+    # oracle: the residuals as four separate Σ calls per sample compute them
+    config = hb.AssemblyConfig(n, d)
+    rng = hb.rng_for(seed)
+    worst_a = worst_b = 0.0
+    for _ in range(3):
+        w = hb.random_density(config, rng)
+        q = hb.random_observable(config, rng)
+        sw, sq = sym.symmetrise(config, w), sym.symmetrise(config, q)
+        worst_a = max(worst_a, abs(complex(np.sum(sw.T * q)) - complex(np.sum(sw.T * sq))))
+        worst_b = max(worst_b, abs(complex(np.sum(w.T * sq)) - complex(np.sum(sw.T * sq))))
+    calls = []
+    symmetrise = sym.symmetrise
+    monkeypatch.setattr(sym, "symmetrise", lambda *a: calls.append(a) or symmetrise(*a))
+    argv = ["verify-identities", "--n", str(n), "--d", str(d), "--samples", "3", "--seed", str(seed)]
+    code, out, _ = run_cli(capsys, argv)
+    assert (code, len(calls)) == (0, 6)
+    report = json.loads(out)
+    assert (report["max_residual_a"], report["max_residual_b"]) == (worst_a, worst_b)
+    assert out == json.dumps(report) + "\n"
 
 
 HH = hb.vector_to_json(hb.basis_state(hb.AssemblyConfig(2, 2), (0, 0)).amplitudes)
@@ -652,6 +692,25 @@ def test_unknown_subcommand_is_usage_error(capsys):
     capsys.readouterr()
 
 
+def test_parser_is_built_once(capsys, monkeypatch):
+    argv = ["coins", "--measure", "bose"]
+    first = run_cli(capsys, argv)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the parser was built again")
+
+    monkeypatch.setattr(cli.argparse, "ArgumentParser", refuse)
+    assert run_cli(capsys, argv) == first
+
+
+def test_every_subcommand_has_a_handler():
+    # run dispatches by name: a missing handler would be a KeyError traceback, exit 1
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert len(sub.choices) == 11
+    for name in sub.choices:
+        assert callable(getattr(cli, "_cmd_" + name.replace("-", "_"), None)), name
+
+
 @pytest.mark.parametrize(
     "error",
     [MemoryError(), np.linalg.LinAlgError("SVD did not converge"), RecursionError("maximum recursion depth exceeded")],
@@ -713,25 +772,6 @@ def test_structure_description_at_the_name_cap_prints_and_reads_back(capsys, mon
     text = out.strip()
     assert text.count("(exists ") == len(names)
     assert md.format_formula(md.parse_formula(text)) == text
-
-
-def test_verify_all_rejects_malformed_config():
-    import permsym
-
-    script = Path(__file__).resolve().parents[1] / "scripts" / "verify_all.py"
-    env = dict(os.environ, PYTHONPATH=str(Path(permsym.__file__).resolve().parents[1]))
-    # a malformed NxD, and a well-formed one with too few particles for the sector checks
-    for config in ["3y2", "1x4"]:
-        proc = subprocess.run(
-            [sys.executable, str(script), "--configs", config],
-            capture_output=True,
-            text=True,
-            timeout=60,
-            env=env,
-        )
-        assert proc.returncode == 2, config
-        assert proc.stdout == ""
-        assert "usage:" in proc.stderr and config in proc.stderr
 
 
 def test_console_script_is_installed():
