@@ -340,7 +340,8 @@ def fig3_analysis(seed: int = 0, tol: float = EPS_ABS) -> Fig3Report:
 
     # (v) a symmetric observable sees one number on the whole plane
     q_sym = symmetriser.symmetrise(config, hilbert.random_observable(config, rng))
-    gray = sectors.GeneralisedRay(config, (2, 1), plane)
+    aab = np.flatnonzero(span.any(axis=1))  # the weight block of |aab>
+    gray = sectors.GeneralisedRay(config, (2, 1), aab, plane[aab].real)
     schur = sectors.schur_check(q_sym, [gray])
     spread = 0.0
     for _ in range(10):
@@ -351,7 +352,7 @@ def fig3_analysis(seed: int = 0, tol: float = EPS_ABS) -> Fig3Report:
 
     # the subspace has no fermionic admixture (Pauli: two letters, three slots)
     fam = sectors.SectorProjectors.build(config)
-    no_fermion = float(np.max(np.abs(fam.antisymmetric @ span)))
+    no_fermion = float(np.max(np.abs(fam.split(span)[1])))
 
     return Fig3Report(
         seed=seed,

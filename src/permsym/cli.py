@@ -119,7 +119,7 @@ def _cmd_decompose(args) -> int:
             "rays": [
                 {
                     "dim": ray.dim,
-                    "vectors": [hilbert.vector_obj(ray.basis[:, k]) for k in range(ray.dim)],
+                    "vectors": [hilbert.vector_obj(column) for column in ray.basis.T],
                 }
                 for ray in comp.rays
             ],
@@ -180,8 +180,6 @@ def _cmd_verify_identities(args) -> int:
 def _cmd_classify(args) -> int:
     config = AssemblyConfig(args.n, args.d)
     v = hilbert.vector_from_json(_read_text(args.input))
-    if v.shape != (config.dim,):
-        raise ValueError(f"vector length {v.shape[0]} does not match dim {config.dim}")
     fam = sectors.SectorProjectors.build(config)
     cls = sectors.classify_vector(fam, v, tol=args.tolerance)
     _emit(
@@ -205,8 +203,6 @@ def _cmd_classify(args) -> int:
 def _cmd_superselect(args) -> int:
     config = AssemblyConfig(args.n, args.d)
     w = hilbert.matrix_from_json(_read_text(args.input))
-    if w.shape != (config.dim, config.dim):
-        raise ValueError(f"matrix shape {w.shape} does not match dim {config.dim}")
     fam = sectors.SectorProjectors.build(config)
     print(hilbert.matrix_to_json(symmetriser.sector_superselect(fam, w)))
     return 0

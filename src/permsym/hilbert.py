@@ -30,9 +30,9 @@ from . import symgroup
 from .symgroup import Permutation
 
 # Dense-operator budget: a complex D x D matrix takes 16 D**2 bytes, 1 GiB
-# at D = 2**13, and the sector family, Sigma and the ray bases each hold a
-# few such matrices (Sigma's pair-orbit labels add D**2 (n + 8) bytes).
-# Larger assemblies are refused before anything is allocated.
+# at D = 2**13; Sigma, the sector pinch and family() each hold a few (Sigma's
+# pair-orbit labels add D**2 (n + 8) bytes), the rays and the sector family
+# none.  Larger assemblies are refused before anything is allocated.
 DIM_CAP = 2**13
 EPS_NORM = 1e-10
 EPS_ABS = 1e-10

@@ -28,10 +28,12 @@ built once per block; :func:`invariance_residual` and
 :func:`compressed_commutant_dimension` run them on the whole space.
 
 An isotypic component is the sum of its rays, counted against the
-hook-content formula s_lambda(1^d).  The sector projectors are closed
-forms on the same blocks: E_S = J / |block|, E_A = s s^T / n! on blocks
-of n distinct letters (s the sign of each word), E_P = I - E_S - E_A.
-They need n >= 2: for one particle the sign character is trivial.
+hook-content formula s_lambda(1^d).  The sector family acts on the same
+blocks: E_S x is the block mean of x, E_A x = s mean(s x) with s the sign
+of each word on blocks of n distinct letters and 0 elsewhere, and E_P x
+the remainder.  Rays and family hold no D x k or D x D array; ``basis``
+and ``family()`` build one on request.  The family needs n >= 2: for one
+particle the sign character is trivial.
 """
 
 from __future__ import annotations
@@ -52,33 +54,17 @@ class DecompositionError(RuntimeError):
     """A block eigenspace failed its certificate as an irreducible ray."""
 
 
-def projector_rank(p: np.ndarray, tol: float = EPS_RANK) -> int:
-    """Rank of an (approximate) orthogonal projector: eigenvalues above 1/2.
-
-    Raises when any eigenvalue sits further than tol from {0, 1}.
-    """
-    eigs = np.linalg.eigvalsh(p)
-    bad = float(np.min(np.abs(np.stack([eigs, eigs - 1.0])), axis=0).max())
-    if bad > tol:
-        raise ValueError(f"not a projector: eigenvalue residual {bad} > {tol}")
-    return int(np.sum(eigs > 0.5))
-
-
 @dataclass(frozen=True, eq=False)
 class SectorProjectors:
-    """The (symmetric, antisymmetric, para) partition of identity."""
+    """The (symmetric, antisymmetric, para) partition of identity, on the weight blocks."""
 
     config: AssemblyConfig
-    symmetric: np.ndarray = field(repr=False)
-    antisymmetric: np.ndarray = field(repr=False)
-    para: np.ndarray = field(repr=False)
+    block: np.ndarray = field(repr=False)  # weight block of each flat index
+    sign: np.ndarray = field(repr=False)  # of each word; 0 unless its n letters are distinct
 
     @classmethod
     def build(cls, config: AssemblyConfig) -> "SectorProjectors":
-        """E_S[i, j] = [i, j in one block] / |block|; E_A[i, j] =
-        sgn(i) sgn(j) / n! when words i and j are orderings of the same n
-        distinct letters, sgn the parity of a word's inversions."""
-        n, dim = config.n, config.dim
+        n = config.n
         if n < 2:
             raise ValueError(
                 "sector family needs n >= 2 (for n = 1 the symmetric and "
@@ -87,21 +73,37 @@ class SectorProjectors:
         letters = hilbert._letters(config)
         inversions = sum(letters[k] > letters[l] for k, l in itertools.combinations(range(n), 2))
         sign = 1.0 - 2.0 * (inversions % 2)
-        e_s = np.zeros((dim, dim), dtype=complex)
-        e_a = np.zeros((dim, dim), dtype=complex)
-        for index in hilbert.weight_blocks(config):
-            block = np.ix_(index, index)
-            e_s[block] = 1.0 / len(index)
-            if len(index) == math.factorial(n):  # multinomial(n; mu) = n! only for distinct letters
-                e_a[block] = np.outer(sign[index], sign[index]) / len(index)
-        e_p = np.eye(dim, dtype=complex) - e_s - e_a
-        return cls(config, e_s, e_a, e_p)
+        block = np.empty(config.dim, dtype=np.intp)
+        for b, index in enumerate(hilbert.weight_blocks(config)):
+            block[index] = b
+            if len(index) != math.factorial(n):  # multinomial(n; mu) = n! only for distinct letters
+                sign[index] = 0.0
+        return cls(config, block, sign)
+
+    def split(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(E_S x, E_A x, E_P x) of a vector, or of each column of a matrix:
+        the block mean, the sign-weighted block mean, and the remainder."""
+        x = np.asarray(x, dtype=complex)
+        column = (-1,) + (1,) * (x.ndim - 1)  # a per-word array broadcast over columns
+        counts, sign = np.bincount(self.block), self.sign.reshape(column)
+        order, starts = np.argsort(self.block, kind="stable"), np.cumsum(counts) - counts
+
+        def block_mean(y: np.ndarray) -> np.ndarray:
+            return (np.add.reduceat(y[order], starts) / counts.reshape(column))[self.block]
+
+        e_s = block_mean(x)
+        e_a = sign * block_mean(sign * x)
+        return e_s, e_a, x - e_s - e_a
 
     def ranks(self) -> tuple[int, int, int]:
-        return tuple(projector_rank(p) for p in self.family())
+        """One symmetric state per block, one antisymmetric per block of n distinct letters."""
+        r_s = int(self.block.max()) + 1
+        r_a = int(np.count_nonzero(self.sign)) // math.factorial(self.config.n)
+        return r_s, r_a, self.config.dim - r_s - r_a
 
     def family(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (self.symmetric, self.antisymmetric, self.para)
+        """E_S, E_A and E_P as dense D x D matrices."""
+        return self.split(np.eye(self.config.dim, dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -109,22 +111,32 @@ class SectorProjectors:
 
 @dataclass(frozen=True, eq=False)
 class GeneralisedRay:
-    """An irreducible invariant subspace, spanned by orthonormal columns."""
+    """An irreducible invariant subspace, spanned by orthonormal real columns on one weight block."""
 
     config: AssemblyConfig
     shape: tuple[int, ...]
-    basis: np.ndarray = field(repr=False)  # D x dim_irrep, orthonormal columns
+    index: np.ndarray = field(repr=False)  # flat indices of the weight block
+    vectors: np.ndarray = field(repr=False)  # len(index) x dim_irrep, orthonormal columns
 
     @property
     def dim(self) -> int:
-        return self.basis.shape[1]
+        return self.vectors.shape[1]
+
+    @property
+    def basis(self) -> np.ndarray:
+        """The D x dim_irrep orthonormal columns on the whole space."""
+        basis = np.zeros((self.config.dim, self.dim), dtype=complex)
+        basis[self.index] = self.vectors
+        return basis
 
     def projector(self) -> np.ndarray:
-        return self.basis @ self.basis.conj().T
+        p = np.zeros((self.config.dim,) * 2, dtype=complex)
+        p[np.ix_(self.index, self.index)] = self.vectors @ self.vectors.T
+        return p
 
     def compress(self, a: np.ndarray) -> np.ndarray:
         """Compression B^dagger a B of an operator onto the ray."""
-        return self.basis.conj().T @ a @ self.basis
+        return self.vectors.T @ a[np.ix_(self.index, self.index)] @ self.vectors
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,9 +270,7 @@ def assembly_rays(config: AssemblyConfig) -> list[GeneralisedRay]:
                     f"a {v.shape[1]}-dimensional eigenspace is no certified ray: character error "
                     f"{error[row]:.3g} against {table.irrep_labels[row]}, invariance residual {residual:.3g}"
                 )
-            basis = np.zeros((config.dim, v.shape[1]), dtype=complex)
-            basis[index] = v
-            rays.append(GeneralisedRay(config, table.irrep_labels[row], basis))
+            rays.append(GeneralisedRay(config, table.irrep_labels[row], index, v))
     order = {shape: k for k, shape in enumerate(table.irrep_labels)}
     return sorted(rays, key=lambda ray: order[ray.shape])
 
@@ -306,9 +316,7 @@ def classify_vector(
     norm = float(np.linalg.norm(v))
     if abs(norm - 1.0) > hilbert.EPS_NORM:
         raise ValueError(f"classify_vector needs a normalized vector, norm {norm}")
-    ws = float(np.linalg.norm(sectors.symmetric @ v) ** 2)
-    wa = float(np.linalg.norm(sectors.antisymmetric @ v) ** 2)
-    wp = float(np.linalg.norm(sectors.para @ v) ** 2)
+    ws, wa, wp = (float(np.linalg.norm(part) ** 2) for part in sectors.split(v))
     if ws >= 1.0 - tol:
         label = "bosonic"
     elif wa >= 1.0 - tol:
@@ -339,8 +347,8 @@ def schur_check(
     """Check that a symmetric operator compresses to c * identity on each
     irreducible ray (Schur's lemma), returning the scalars and the worst
     off-scalar residual."""
-    q = np.asarray(q, dtype=complex)
-    hilbert._check_finite(q)
+    if rays:
+        q = hilbert._as_square(rays[0].config, q)
     scalars = []
     worst = 0.0
     for ray in rays:

@@ -64,16 +64,6 @@ def trace_identity_residuals(
     )
 
 
-def verify_identity_a(config: AssemblyConfig, w: np.ndarray, q: np.ndarray) -> float:
-    """Residual of Tr(Sigma(W) Q) = Tr(Sigma(W) Sigma(Q))."""
-    return trace_identity_residuals(config, w, q)[0]
-
-
-def verify_identity_b(config: AssemblyConfig, w: np.ndarray, q: np.ndarray) -> float:
-    """Residual of Tr(W Sigma(Q)) = Tr(Sigma(W) Sigma(Q))."""
-    return trace_identity_residuals(config, w, q)[1]
-
-
 # ---------------------------------------------------------------------------
 # superselection
 
@@ -112,7 +102,10 @@ def superselect(w: np.ndarray, family: list[np.ndarray], tol: float = EPS_ABS) -
 
 
 def sector_superselect(sectors: SectorProjectors, w: np.ndarray) -> np.ndarray:
-    return superselect(w, list(sectors.family()))
+    """:func:`superselect` by the sector family, E W E as (E (E W)^dagger)^dagger, with
+    no validation of a family that is a partition of identity by construction."""
+    w = hilbert._as_square(sectors.config, w)
+    return sum(sectors.split(ew.conj().T)[k] for k, ew in enumerate(sectors.split(w))).conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +122,8 @@ def satisfies_sp(
     maximally mixed state fails this for n >= 3: its support meets the
     paraparticle sector.
     """
-    w = np.asarray(w, dtype=complex)
-    if float(np.max(np.abs(sectors.para @ w))) > tol:
+    w = hilbert._as_square(sectors.config, w)
+    if float(np.max(np.abs(sectors.split(w)[2]))) > tol:
         return False
     return hilbert.is_symmetric_operator(sectors.config, w, tol=tol)
 

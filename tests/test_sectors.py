@@ -1,6 +1,7 @@
 """Sector projectors, isotypic components, irreducible rays from weight blocks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,22 +32,23 @@ def test_sector_ranks_match_closed_forms(n, d, r_sym, r_anti):
     assert math.comb(d, n) == r_anti
     assert fam.ranks() == (r_sym, r_anti, cfg.dim - r_sym - r_anti)
     # independent rank route
-    assert np.linalg.matrix_rank(fam.symmetric, tol=1e-8) == r_sym
-    assert np.linalg.matrix_rank(fam.antisymmetric, tol=1e-8) == r_anti
+    e_s, e_a, _ = fam.family()
+    assert np.linalg.matrix_rank(e_s, tol=1e-8) == r_sym
+    assert np.linalg.matrix_rank(e_a, tol=1e-8) == r_anti
 
 
 @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (3, 3), (4, 2)])
 def test_sector_family_partitions_identity(n, d):
     cfg = hb.AssemblyConfig(n, d)
-    fam = sec.SectorProjectors.build(cfg)
+    family = sec.SectorProjectors.build(cfg).family()
     total = np.zeros((cfg.dim, cfg.dim), dtype=complex)
-    for p in fam.family():
+    for p in family:
         assert np.max(np.abs(p - p.conj().T)) < 1e-12
         assert np.max(np.abs(p @ p - p)) < 1e-12
         total += p
     assert np.max(np.abs(total - np.eye(cfg.dim))) < 1e-12
-    for a in fam.family():
-        for b in fam.family():
+    for a in family:
+        for b in family:
             if a is not b:
                 assert np.max(np.abs(a @ b)) < 1e-12
 
@@ -64,15 +66,9 @@ def test_single_slot_family_is_rejected():
         sec.SectorProjectors.build(hb.AssemblyConfig(1, 4))
 
 
-def test_projector_rank_guards_spectrum():
-    assert sec.projector_rank(np.diag([1.0, 1.0, 0.0]).astype(complex)) == 2
-    with pytest.raises(ValueError):
-        sec.projector_rank(np.diag([1.0, 0.4, 0.0]).astype(complex))
-
-
 def test_two_coin_sector_projectors_exact():
     cfg = hb.AssemblyConfig(2, 2)
-    fam = sec.SectorProjectors.build(cfg)
+    symmetric, antisymmetric, para = sec.SectorProjectors.build(cfg).family()
     e_s = np.array(
         [
             [1, 0, 0, 0],
@@ -82,9 +78,9 @@ def test_two_coin_sector_projectors_exact():
         ],
         dtype=complex,
     )
-    assert np.allclose(fam.symmetric, e_s, atol=1e-15)
-    assert np.allclose(fam.antisymmetric, np.eye(4) - e_s, atol=1e-15)
-    assert np.max(np.abs(fam.para)) < 1e-15
+    assert np.allclose(symmetric, e_s, atol=1e-15)
+    assert np.allclose(antisymmetric, np.eye(4) - e_s, atol=1e-15)
+    assert np.max(np.abs(para)) < 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -153,11 +149,11 @@ def test_isotypic_ranks_four_slots_dim_two():
 
 def test_isotypic_matches_sector_projectors():
     cfg = hb.AssemblyConfig(3, 3)
-    fam = sec.SectorProjectors.build(cfg)
+    symmetric, antisymmetric, para = sec.SectorProjectors.build(cfg).family()
     by_shape = components_by_shape(cfg)
-    assert np.max(np.abs(by_shape[(3,)].projector - fam.symmetric)) < 1e-12
-    assert np.max(np.abs(by_shape[(1, 1, 1)].projector - fam.antisymmetric)) < 1e-12
-    assert np.max(np.abs(by_shape[(2, 1)].projector - fam.para)) < 1e-12
+    assert np.max(np.abs(by_shape[(3,)].projector - symmetric)) < 1e-12
+    assert np.max(np.abs(by_shape[(1, 1, 1)].projector - antisymmetric)) < 1e-12
+    assert np.max(np.abs(by_shape[(2, 1)].projector - para)) < 1e-12
 
 
 def test_isotypic_projector_commutes_with_representation():
@@ -173,9 +169,9 @@ ORACLE_CONFIGS = [(2, 2), (3, 2), (4, 2), (5, 2), (6, 2), (3, 3), (4, 3), (4, 4)
 @pytest.mark.parametrize("n,d", ORACLE_CONFIGS)
 def test_weight_block_split_agrees_with_the_class_sum_oracle(n, d):
     cfg = hb.AssemblyConfig(n, d)
-    fam = sec.SectorProjectors.build(cfg)
-    assert np.max(np.abs(fam.symmetric - class_sum_projector(cfg, (n,)))) <= 1e-15
-    assert np.max(np.abs(fam.antisymmetric - class_sum_projector(cfg, (1,) * n))) <= 1e-15
+    symmetric, antisymmetric, _ = sec.SectorProjectors.build(cfg).family()
+    assert np.max(np.abs(symmetric - class_sum_projector(cfg, (n,)))) <= 1e-15
+    assert np.max(np.abs(antisymmetric - class_sum_projector(cfg, (1,) * n))) <= 1e-15
     for comp in sec.all_isotypic(cfg):
         shape = comp.shape
         assert np.max(np.abs(comp.projector - class_sum_projector(cfg, shape))) <= 1e-12
@@ -352,6 +348,28 @@ def test_projectors_never_cross_the_group(monkeypatch):
     sec.all_isotypic(cfg)
     sec.SectorProjectors.build(cfg)
     assert crossings == [] and draws == []
+
+
+def peak_traced_mb(fn):
+    """Peak of the memory traced while fn runs, in MB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_sector_family_and_classification_stay_on_the_blocks():
+    # a dense family at 7x3 is three 2187 x 2187 complex matrices, 230 MB
+    cfg = hb.AssemblyConfig(7, 3)
+    v = hb.random_state(cfg, hb.rng_for(73))
+    assert peak_traced_mb(lambda: sec.classify_vector(sec.SectorProjectors.build(cfg), v)) < 10
+
+
+def test_ray_split_stays_on_the_blocks():
+    # the 189 rays of 7x3, zero-padded to 2187 complex rows, took 78 MB
+    assert peak_traced_mb(lambda: sec.assembly_rays(hb.AssemblyConfig(7, 3))) < 20
 
 
 # ---------------------------------------------------------------------------
