@@ -6,7 +6,7 @@ symmetriser and its trace identities, and permutation invariance for
 finite first-order models and the theories that select among them.
 """
 
-from . import casebook, cli, hilbert, models, sectors, symgroup, symmetriser
+from . import casebook, hilbert, models, sectors, symgroup, symmetriser
 from .hilbert import AssemblyConfig, DensityOperator, Observable, StateVector
 from .sectors import SectorProjectors
 from .symgroup import Permutation
@@ -22,7 +22,6 @@ __all__ = [
     "StateVector",
     "__version__",
     "casebook",
-    "cli",
     "hilbert",
     "models",
     "sectors",

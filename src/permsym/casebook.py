@@ -299,7 +299,11 @@ def fig3_analysis(seed: int = 0, tol: float = EPS_ABS) -> Fig3Report:
     by the permutes of |aab>, and that its plane orthogonal to the
     symmetric ray is one two-dimensional generalised ray."""
     config, span, v_sym, plane = _fig3_vectors()
-    ops = {p.images: hilbert.perm_operator(config, p) for p in symgroup.all_permutations(3)}
+    # v[t] is P(pi) v when t is the index map of pi^-1
+    maps = {
+        p.images: hilbert.perm_operator(config, symgroup.inverse(p))
+        for p in symgroup.all_permutations(3)
+    }
 
     # (i) each pair swap reflects the subspace through its fixed plane
     sqrt2 = math.sqrt(2)
@@ -310,17 +314,13 @@ def fig3_analysis(seed: int = 0, tol: float = EPS_ABS) -> Fig3Report:
     }
     reflection = 0.0
     for pair, (fixed_a, fixed_b, flipped) in swaps.items():
-        op = ops[symgroup.from_cycles(3, [pair]).images]
+        t = maps[symgroup.from_cycles(3, [pair]).images]
         for f in (fixed_a, fixed_b):
-            reflection = max(reflection, float(np.max(np.abs(op.apply_to_vector(f) - f))))
-        reflection = max(
-            reflection, float(np.max(np.abs(op.apply_to_vector(flipped) + flipped)))
-        )
+            reflection = max(reflection, float(np.max(np.abs(f[t] - f))))
+        reflection = max(reflection, float(np.max(np.abs(flipped[t] + flipped))))
 
     # (ii) the uniform superposition is fixed by every permutation
-    trivial = max(
-        float(np.max(np.abs(op.apply_to_vector(v_sym) - v_sym))) for op in ops.values()
-    )
+    trivial = max(float(np.max(np.abs(v_sym[t] - v_sym))) for t in maps.values())
 
     # (iii) the orthogonal plane is invariant and carries an irreducible action
     plane_res = sectors.invariance_residual(config, plane)
@@ -330,7 +330,7 @@ def fig3_analysis(seed: int = 0, tol: float = EPS_ABS) -> Fig3Report:
     rng = hilbert.rng_for(seed)
     coeff = rng.normal(size=2) + 1j * rng.normal(size=2)
     ray = plane @ (coeff / np.linalg.norm(coeff))
-    orbit = np.stack([op.apply_to_vector(ray) for op in ops.values()], axis=1)
+    orbit = np.stack([ray[t] for t in maps.values()], axis=1)
     left, singular, _ = np.linalg.svd(orbit, full_matrices=False)
     orbit_basis = left[:, singular > 1e-10]
     plane_proj = plane @ plane.conj().T

@@ -132,7 +132,7 @@ def _cmd_decompose(args) -> int:
             "n": args.n,
             "d": args.d,
             "seed": None,
-            "tolerance": sectors.EPS_RANK,
+            "tolerance": hilbert.EPS_ABS,
             "ranks": {"symmetric": r_s, "antisymmetric": r_a, "para": r_p},
             "components": components,
         }
@@ -204,7 +204,7 @@ def _cmd_superselect(args) -> int:
     config = AssemblyConfig(args.n, args.d)
     w = hilbert.matrix_from_json(_read_text(args.input))
     fam = sectors.SectorProjectors.build(config)
-    print(hilbert.matrix_to_json(symmetriser.sector_superselect(fam, w)))
+    print(hilbert.matrix_to_json(symmetriser.superselect(fam, w)))
     return 0
 
 

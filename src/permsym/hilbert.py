@@ -13,9 +13,9 @@ so output slot m carries input slot pi^{-1}(m).  With the composition
 convention of :mod:`permsym.symgroup` this makes pi -> P(pi) a group
 homomorphism, P(p compose q) = P(p) P(q).
 
-All operators here are dense complex numpy arrays; P(pi) is additionally
-kept as an index map so applying or conjugating by it costs O(D) / O(D^2)
-instead of a matrix product.
+All operators here are dense complex numpy arrays, except P(pi), which is
+kept as its basis index map: applying or conjugating by it is an O(D) /
+O(D^2) relabelling instead of a matrix product.
 """
 
 from __future__ import annotations
@@ -224,69 +224,18 @@ def weight_blocks(config: AssemblyConfig) -> list[np.ndarray]:
 # ---------------------------------------------------------------------------
 # permutation operators
 
-def _target_map(config: AssemblyConfig, perm: Permutation) -> np.ndarray:
-    """target[i] = flat index of P(pi) e_i.
+def perm_operator(config: AssemblyConfig, perm: Permutation) -> np.ndarray:
+    """P(pi) as its basis index map t, P(pi) e_i = e_t[i].
 
     Index axis k of the tensor of flat indices by the output slot pi(k):
     entry (i_1, ..., i_n) of the transpose is then the index of the word w
-    with w_{pi(k)} = i_k.
+    with w_{pi(k)} = i_k.  Reading a vector or matrix through t undoes
+    P(pi): (P^-1 v)[i] = v[t[i]] and (P^-1 A P)[i, j] = A[t[i], t[j]].
     """
+    if perm.n != config.n:
+        raise ValueError(f"permutation of 1..{perm.n} on an n={config.n} assembly")
     flat = np.arange(config.dim, dtype=np.int64).reshape((config.d,) * config.n)
     return flat.transpose([image - 1 for image in perm.images]).reshape(-1)
-
-
-@dataclass(frozen=True, eq=False)
-class PermOperator:
-    """Unitary representation P(pi) on the assembly space.
-
-    ``target`` is the basis index map (P e_i = e_target[i]); the 0/1 matrix
-    is materialised on demand.
-    """
-
-    config: AssemblyConfig
-    perm: Permutation
-    target: np.ndarray = field(repr=False)
-
-    @classmethod
-    def build(cls, config: AssemblyConfig, perm: Permutation) -> "PermOperator":
-        if perm.n != config.n:
-            raise ValueError(f"permutation of 1..{perm.n} on an n={config.n} assembly")
-        return cls(config, perm, _target_map(config, perm))
-
-    @property
-    def source(self) -> np.ndarray:
-        """source[r] = i with P e_i = e_r (index map of the inverse)."""
-        return np.argsort(self.target)
-
-    def matrix(self) -> np.ndarray:
-        m = np.zeros((self.config.dim, self.config.dim), dtype=complex)
-        m[self.target, np.arange(self.config.dim)] = 1.0
-        return m
-
-    def apply_to_vector(self, v: np.ndarray) -> np.ndarray:
-        v = _as_vector(self.config, v)
-        out = np.empty_like(v)
-        out[self.target] = v
-        return out
-
-    def conjugate(self, a: np.ndarray) -> np.ndarray:
-        """P a P^dagger, an O(D^2) relabelling of matrix entries."""
-        a = _as_square(self.config, a)
-        src = self.source
-        return a[np.ix_(src, src)]
-
-
-def perm_operator(config: AssemblyConfig, perm: Permutation) -> PermOperator:
-    return PermOperator.build(config, perm)
-
-
-def all_perm_operators(config: AssemblyConfig) -> list[PermOperator]:
-    return [perm_operator(config, p) for p in symgroup.all_permutations(config.n)]
-
-
-def generator_operators(config: AssemblyConfig) -> list[PermOperator]:
-    """P((k k+1)) for k = 1..n-1: the adjacent transpositions generate S_n."""
-    return [perm_operator(config, s) for s in symgroup.adjacent_transpositions(config.n)]
 
 
 def is_symmetric_operator(
@@ -302,10 +251,8 @@ def is_symmetric_operator(
     l(pi) r, where l(pi) <= C(n, 2) is its length as a word in them.
     """
     a = _as_square(config, a)
-    return all(
-        float(np.max(np.abs(op.conjugate(a) - a))) <= tol
-        for op in generator_operators(config)
-    )
+    maps = (perm_operator(config, s) for s in symgroup.adjacent_transpositions(config.n))
+    return all(float(np.max(np.abs(a[np.ix_(t, t)] - a))) <= tol for t in maps)
 
 
 def _pair_orbit_labels(config: AssemblyConfig) -> np.ndarray:

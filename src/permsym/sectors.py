@@ -47,8 +47,6 @@ import numpy as np
 from . import hilbert, symgroup
 from .hilbert import EPS_ABS, AssemblyConfig
 
-EPS_RANK = 1e-8
-
 
 class DecompositionError(RuntimeError):
     """A block eigenspace failed its certificate as an irreducible ray."""
@@ -169,7 +167,7 @@ def _index_maps(config: AssemblyConfig, perms: list, index: np.ndarray) -> list[
     """Map t of each P(pi) on the weight blocks ``index``: P(pi) e_index[i] = e_index[t[i]]."""
     local = np.full(config.dim, -1)
     local[index] = np.arange(len(index))
-    return [local[hilbert.perm_operator(config, p).target[index]] for p in perms]
+    return [local[hilbert.perm_operator(config, p)[index]] for p in perms]
 
 
 def _leak(vectors: np.ndarray, maps: list[np.ndarray]) -> float:

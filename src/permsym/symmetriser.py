@@ -15,10 +15,9 @@ identities follow and are exposed as residual checks:
 so states with equal Sigma-images ("~-equivalent") are indistinguishable
 by symmetric observables, and symmetric states cannot distinguish
 observables with equal Sigma-images.  :func:`trace_identity_residuals`
-measures both from one Sigma(W) and one Sigma(Q).  Superselection
-(pinching by any projector family that commutes with the observables in
-play) preserves all such expectations; the sector family of
-:mod:`permsym.sectors` is the physically motivated instance.
+measures both from one Sigma(W) and one Sigma(Q).  Superselection,
+pinching by the sector family of :mod:`permsym.sectors`, preserves the
+expectation of every observable that commutes with the family.
 
 satisfies_sp / satisfies_ip decide the two permutation-invariance notions
 for states: restriction to the bosonic+fermionic subspace with full
@@ -30,14 +29,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import hilbert
+from . import hilbert, symgroup
 from .hilbert import EPS_ABS, AssemblyConfig, symmetrise
 from .sectors import SectorProjectors
-
-
-def hs_inner(x: np.ndarray, y: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product Tr(X^dagger Y)."""
-    return complex(np.sum(np.asarray(x).conj() * np.asarray(y)))
 
 
 def sim_equivalent(
@@ -67,45 +61,17 @@ def trace_identity_residuals(
 # ---------------------------------------------------------------------------
 # superselection
 
-def _validate_family(dim: int, family: list[np.ndarray], tol: float) -> None:
-    total = np.zeros((dim, dim), dtype=complex)
-    for i, e in enumerate(family):
-        if e.shape != (dim, dim):
-            raise ValueError(f"projector {i} has shape {e.shape}, expected {(dim, dim)}")
-        hilbert._check_finite(e)
-        if hilbert.selfadjoint_residual(e) > tol:
-            raise ValueError(f"projector {i} is not self-adjoint within {tol}")
-        for j, f in enumerate(family):
-            prod = e @ f
-            want = e if i == j else 0.0
-            if float(np.max(np.abs(prod - want))) > 1e-8:
-                raise ValueError(f"family members {i},{j} are not orthogonal projectors")
-        total += e
-    if float(np.max(np.abs(total - np.eye(dim)))) > 1e-8:
-        raise ValueError("projector family does not sum to the identity")
-
-
-def superselect(w: np.ndarray, family: list[np.ndarray], tol: float = EPS_ABS) -> np.ndarray:
-    """Pinch a state by a projector family: W -> sum_alpha E_alpha W E_alpha.
+def superselect(sectors: SectorProjectors, w: np.ndarray) -> np.ndarray:
+    """Pinch a state by the sector family: W -> sum_E E W E over E_S, E_A, E_P.
 
     For any observable commuting with every family member the Born pairing
     is unchanged, so statistics cannot reveal whether the pinch happened
-    (no signalling through superselection).
+    (no signalling through superselection).  The family is a partition of
+    identity by construction and each E is real symmetric, so E W E is
+    computed as (E (E W)^T)^T through ``split``, with no D x D projector.
     """
-    w = np.asarray(w, dtype=complex)
-    hilbert._check_finite(w)
-    _validate_family(w.shape[0], [np.asarray(e, dtype=complex) for e in family], tol)
-    out = np.zeros_like(w)
-    for e in family:
-        out += e @ w @ e
-    return out
-
-
-def sector_superselect(sectors: SectorProjectors, w: np.ndarray) -> np.ndarray:
-    """:func:`superselect` by the sector family, E W E as (E (E W)^dagger)^dagger, with
-    no validation of a family that is a partition of identity by construction."""
     w = hilbert._as_square(sectors.config, w)
-    return sum(sectors.split(ew.conj().T)[k] for k, ew in enumerate(sectors.split(w))).conj().T
+    return sum(sectors.split(ew.T)[k] for k, ew in enumerate(sectors.split(w))).T
 
 
 # ---------------------------------------------------------------------------
@@ -145,10 +111,9 @@ def satisfies_ip(
     w = hilbert._as_square(config, w)
     qs = [hilbert._as_square(config, q) for q in observables]
     pairings = [complex(np.sum(w.T * q)) for q in qs]
-    for op in hilbert.all_perm_operators(config):
-        # op.conjugate(w) without re-validating w once per element
-        src = op.source
-        moved = w[np.ix_(src, src)]
+    for pi in symgroup.all_permutations(config.n):
+        t = hilbert.perm_operator(config, pi)
+        moved = w[np.ix_(t, t)]  # P(pi)^-1 W P(pi); pi^-1 runs over S_n as pi does
         for q, pairing in zip(qs, pairings):
             if abs(complex(np.sum(moved.T * q)) - pairing) > tol:
                 return False

@@ -56,6 +56,7 @@ def test_decompose_json_report(capsys):
     code, out, _ = run_cli(capsys, ["decompose", "--n", "3", "--d", "2", "--json"])
     assert code == 0
     report = json.loads(out)
+    assert report["tolerance"] == hb.EPS_ABS  # the rays' certificate tolerance
     assert report["ranks"] == {"symmetric": 4, "antisymmetric": 0, "para": 4}
     total = sum(
         ray["dim"] for comp in report["components"] for ray in comp["rays"]
@@ -331,7 +332,9 @@ def test_superselect_matches_block_truncation(capsys, tmp_path):
     code, out, _ = run_cli(capsys, ["superselect", "--n", "3", "--d", "2", "--input", str(src)])
     assert code == 0
     fam = sec.SectorProjectors.build(cfg)
-    assert np.array_equal(hb.matrix_from_json(out), sym.sector_superselect(fam, w))
+    assert np.array_equal(hb.matrix_from_json(out), sym.superselect(fam, w))
+    data = np.array(json.loads(out)["data"])
+    assert not np.signbit(data[data == 0]).any()  # no -0.0 in the output
 
 
 def test_coins_exact_bytes(capsys):
@@ -663,6 +666,7 @@ def test_permutability_verdict_ignores_the_hash_seed():
         )
         assert (proc.returncode, proc.stdout) == (2, ""), seed
         assert "absent from the state space" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr  # importing permsym leaves the CLI unloaded
 
 
 def test_atom_enumeration_past_the_cap_is_usage_error():

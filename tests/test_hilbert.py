@@ -15,6 +15,18 @@ H = np.array([1.0, 0.0])
 T = np.array([0.0, 1.0])
 
 
+def perm_matrix(t):
+    """The 0/1 matrix of P(pi) from its index map t: P e_i = e_t[i]."""
+    m = np.zeros((t.size, t.size), dtype=complex)
+    m[t, np.arange(t.size)] = 1.0
+    return m
+
+
+def perm_maps(cfg):
+    """The index map of every P(pi), in the order of sg.all_permutations."""
+    return [hb.perm_operator(cfg, p) for p in sg.all_permutations(cfg.n)]
+
+
 def heads_count(config):
     """Observable counting letter-0 slots; symmetric by construction."""
     diag = [sum(1 for i in config.letters(k) if i == 0) for k in range(config.dim)]
@@ -110,17 +122,18 @@ def test_perm_operator_slot_rule():
     cfg = hb.AssemblyConfig(2, 2)
     swap = hb.perm_operator(cfg, sg.from_cycles(2, [(1, 2)]))
     ht = hb.basis_state(cfg, (0, 1)).amplitudes
-    assert np.array_equal(swap.apply_to_vector(ht), hb.basis_state(cfg, (1, 0)).amplitudes)
+    assert np.array_equal(perm_matrix(swap) @ ht, hb.basis_state(cfg, (1, 0)).amplitudes)
 
     # three slots: pi = (1 2 3) sends slot content k to slot pi(k)
     cfg3 = hb.AssemblyConfig(3, 2)
     cycle = hb.perm_operator(cfg3, sg.from_cycles(3, [(1, 2, 3)]))
     aba = hb.basis_state(cfg3, (0, 1, 0)).amplitudes
     aab = hb.basis_state(cfg3, (0, 0, 1)).amplitudes
-    assert np.array_equal(cycle.apply_to_vector(aba), aab)
+    assert np.array_equal(perm_matrix(cycle) @ aba, aab)
 
     ident = hb.perm_operator(cfg3, sg.identity(3))
-    assert np.array_equal(ident.matrix(), np.eye(8, dtype=complex))
+    assert ident.dtype == np.int64
+    assert np.array_equal(ident, np.arange(8))
     with pytest.raises(ValueError):
         hb.perm_operator(cfg, sg.identity(3))
 
@@ -138,35 +151,34 @@ def test_target_map_matches_digit_route():
     for n, d in [(1, 3), (2, 2), (3, 3), (4, 2)]:
         cfg = hb.AssemblyConfig(n, d)
         for p in sg.all_permutations(n):
-            assert np.array_equal(hb.perm_operator(cfg, p).target, by_digits(cfg, p))
+            assert np.array_equal(hb.perm_operator(cfg, p), by_digits(cfg, p))
 
 
 def test_perm_operator_matrix_is_permutation_matrix():
     cfg = hb.AssemblyConfig(3, 3)
     for p in sg.all_permutations(3):
-        m = hb.perm_operator(cfg, p).matrix()
+        m = perm_matrix(hb.perm_operator(cfg, p))
         assert np.array_equal(m @ m.conj().T, np.eye(cfg.dim, dtype=complex))
         assert np.array_equal(np.sort(np.abs(m).sum(axis=0)), np.ones(cfg.dim))
 
 
 def test_representation_homomorphism_exhaustive_s3():
     cfg = hb.AssemblyConfig(3, 2)
-    ops = {p.images: hb.perm_operator(cfg, p) for p in sg.all_permutations(3)}
+    mats = {p.images: perm_matrix(hb.perm_operator(cfg, p)) for p in sg.all_permutations(3)}
     for p in sg.all_permutations(3):
         for q in sg.all_permutations(3):
-            lhs = ops[sg.compose(p, q).images].matrix()
-            rhs = ops[p.images].matrix() @ ops[q.images].matrix()
+            lhs = mats[sg.compose(p, q).images]
+            rhs = mats[p.images] @ mats[q.images]
             assert np.array_equal(lhs, rhs)
 
 
 def test_representation_homomorphism_via_index_maps_s4():
     cfg = hb.AssemblyConfig(4, 2)
-    ops = {p.images: hb.perm_operator(cfg, p) for p in sg.all_permutations(4)}
+    maps = {p.images: hb.perm_operator(cfg, p) for p in sg.all_permutations(4)}
     for p in sg.all_permutations(4)[::3]:
         for q in sg.all_permutations(4)[::5]:
-            composed = ops[sg.compose(p, q).images]
             # P(p q) e_i = P(p) P(q) e_i on index maps
-            assert np.array_equal(composed.target, ops[p.images].target[ops[q.images].target])
+            assert np.array_equal(maps[sg.compose(p, q).images], maps[p.images][maps[q.images]])
 
 
 def test_conjugate_matches_matrix_product():
@@ -174,17 +186,18 @@ def test_conjugate_matches_matrix_product():
     rng = hb.rng_for(11)
     a = hb.random_observable(cfg, rng)
     for p in sg.all_permutations(3):
-        op = hb.perm_operator(cfg, p)
-        m = op.matrix()
-        assert np.allclose(op.conjugate(a), m @ a @ m.conj().T, atol=1e-14)
+        t = hb.perm_operator(cfg, p)
+        m = perm_matrix(t)
+        # reading a through t is P^-1 a P
+        assert np.allclose(a[np.ix_(t, t)], m.conj().T @ a @ m, atol=1e-14)
 
 
 def test_conjugation_preserves_density_validity():
     cfg = hb.AssemblyConfig(3, 2)
     rng = hb.rng_for(5)
     w = hb.random_density(cfg, rng)
-    op = hb.perm_operator(cfg, sg.from_cycles(3, [(1, 3)]))
-    moved = op.conjugate(w)
+    t = hb.perm_operator(cfg, sg.from_cycles(3, [(1, 3)]))
+    moved = w[np.ix_(t, t)]
     hb.DensityOperator(cfg, moved)  # validates
     assert abs(np.trace(moved) - np.trace(w)) == 0.0
 
@@ -231,7 +244,7 @@ def test_is_symmetric_operator():
 def test_is_symmetric_operator_agrees_with_the_whole_group():
     def commutes_with_every_pi(cfg, a, tol=hb.EPS_ABS):
         return all(
-            float(np.max(np.abs(op.conjugate(a) - a))) <= tol for op in hb.all_perm_operators(cfg)
+            float(np.max(np.abs(a[np.ix_(t, t)] - a))) <= tol for t in perm_maps(cfg)
         )
 
     cfg = hb.AssemblyConfig(4, 2)
@@ -257,9 +270,10 @@ def test_group_average_lands_in_commutant():
 
 
 def twirl_over_every_pi(cfg, a):
-    """Sigma by its definition, (1/n!) sum_pi P(pi) a P(pi)^dagger."""
-    ops = hb.all_perm_operators(cfg)
-    return sum(op.conjugate(a) for op in ops) / len(ops)
+    """Sigma by its definition, (1/n!) sum_pi P(pi) a P(pi)^dagger; pi^-1 runs
+    over S_n as pi does, so it sums a[t, t] = P(pi)^-1 a P(pi) instead."""
+    maps = perm_maps(cfg)
+    return sum(a[np.ix_(t, t)] for t in maps) / len(maps)
 
 
 @pytest.mark.parametrize("n,d", [(2, 2), (3, 3), (4, 2), (4, 3), (5, 2), (5, 3), (6, 2)])
@@ -334,8 +348,8 @@ def test_weight_blocks_group_indices_by_letter_content(n, d):
         for letter in set(word):
             size //= math.factorial(word.count(letter))
         assert len(block) == size
-        for op in hb.generator_operators(cfg):
-            assert np.array_equal(np.sort(op.target[block]), block)
+        for s in sg.adjacent_transpositions(n):
+            assert np.array_equal(np.sort(hb.perm_operator(cfg, s)[block]), block)
 
 
 def test_json_error_paths():

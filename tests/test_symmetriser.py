@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from permsym import casebook as cb
 from permsym import hilbert as hb
 from permsym import sectors as sec
+from permsym import symgroup as sg
 from permsym import symmetriser as sym
 
 COIN = hb.AssemblyConfig(2, 2)
@@ -99,7 +100,7 @@ def is_projector_on_operator_space(
         y = hb.random_observable(config, rng)
         sx = sym.symmetrise(config, x)
         idem = max(idem, float(np.max(np.abs(sym.symmetrise(config, sx) - sx))))
-        adj = max(adj, abs(sym.hs_inner(sx, y) - sym.hs_inner(x, sym.symmetrise(config, y))))
+        adj = max(adj, abs(np.vdot(sx, y) - np.vdot(x, sym.symmetrise(config, y))))
     return ProjectorOnOperatorsReport(samples, seed, tol, idem, adj)
 
 
@@ -128,13 +129,6 @@ def test_trace_identities_three_slots():
         assert max(sym.trace_identity_residuals(cfg, w, q)) <= 1e-10
 
 
-def test_hs_inner_is_the_trace_pairing():
-    rng = hb.rng_for(8)
-    x = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    y = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    assert sym.hs_inner(x, y) == pytest.approx(complex(np.trace(x.conj().T @ y)), abs=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # ~-equivalence
 
@@ -155,8 +149,9 @@ def test_sim_equivalence_reflexive_and_respects_twirl():
     w = hb.random_density(cfg, hb.rng_for(3))
     assert sym.sim_equivalent(cfg, w, w)
     assert sym.sim_equivalent(cfg, w, sym.symmetrise(cfg, w))
-    for op in hb.all_perm_operators(cfg):
-        assert sym.sim_equivalent(cfg, w, op.conjugate(w))
+    for pi in sg.all_permutations(cfg.n):
+        t = hb.perm_operator(cfg, pi)
+        assert sym.sim_equivalent(cfg, w, w[np.ix_(t, t)])
 
 
 def test_sym_class_membership():
@@ -191,38 +186,23 @@ def test_block_truncation_is_sim_equivalent_to_original():
     rng = hb.rng_for(12)
     for _ in range(4):
         w = hb.random_density(cfg, rng)
-        cut = sym.sector_superselect(fam, w)
+        cut = sym.superselect(fam, w)
         assert sym.sim_equivalent(cfg, w, cut)
         hb.DensityOperator(cfg, cut)
-        assert np.max(np.abs(sym.sector_superselect(fam, cut) - cut)) < 1e-12
+        assert np.max(np.abs(sym.superselect(fam, cut) - cut)) < 1e-12
     q = sym.symmetrise(cfg, hb.random_observable(cfg, rng))
-    assert np.max(np.abs(sym.sector_superselect(fam, q) - q)) < 1e-12
+    assert np.max(np.abs(sym.superselect(fam, q) - q)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
 # superselection
-
-def test_superselect_family_validation():
-    eye = np.eye(4, dtype=complex)
-    w = eye / 4
-    with pytest.raises(ValueError):  # does not sum to identity
-        sym.superselect(w, [eye / 2, eye / 2])
-    with pytest.raises(ValueError):  # not a projector family
-        sym.superselect(w, [np.diag([0.7, 0, 0, 0]).astype(complex), eye - np.diag([0.7, 0, 0, 0])])
-    with pytest.raises(ValueError):  # wrong shape
-        sym.superselect(w, [np.eye(3, dtype=complex)])
-    with pytest.raises(ValueError):  # overlapping members
-        p = np.diag([1.0, 1, 0, 0]).astype(complex)
-        q = np.diag([0.0, 1, 1, 1]).astype(complex)
-        sym.superselect(w, [p, q])
-
 
 def test_pinch_preserves_commuting_expectations():
     cfg = hb.AssemblyConfig(3, 2)
     fam = sec.SectorProjectors.build(cfg)
     rng = hb.rng_for(6)
     w = hb.random_density(cfg, rng)
-    pinched = sym.sector_superselect(fam, w)
+    pinched = sym.superselect(fam, w)
     hb.DensityOperator(cfg, pinched)
     for _ in range(5):
         q = sym.symmetrise(cfg, hb.random_observable(cfg, rng))
@@ -240,13 +220,8 @@ def test_sector_pinch_agrees_with_the_validated_dense_pinch(n, d):
     rng = hb.rng_for(100 * n + d)
     for _ in range(3):
         w = hb.random_density(cfg, rng)
-        want = sym.superselect(w, list(fam.family()))
-        assert np.max(np.abs(sym.sector_superselect(fam, w) - want)) <= 1e-14
-
-
-def test_pinch_by_trivial_family_is_identity():
-    w = hb.random_density(COIN, hb.rng_for(9))
-    assert np.array_equal(sym.superselect(w, [np.eye(4, dtype=complex)]), w)
+        want = sum(e @ w @ e for e in fam.family())
+        assert np.max(np.abs(sym.superselect(fam, w) - want)) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +304,7 @@ NAN_MATRIX = np.full((4, 4), np.nan, dtype=complex)
     "entry",
     [
         lambda: sym.satisfies_ip(COIN, np.eye(4) / 4, [NAN_MATRIX]),
-        lambda: sym.superselect(np.eye(4) / 4, [NAN_MATRIX]),
+        lambda: sym.superselect(sec.SectorProjectors.build(COIN), NAN_MATRIX),
         lambda: sec.classify_vector(sec.SectorProjectors.build(COIN), np.full(4, np.nan)),
         lambda: sec.schur_check(NAN_MATRIX, sec.assembly_rays(COIN)),
     ],
@@ -353,7 +328,7 @@ THREE_COINS = hb.AssemblyConfig(3, 2)
     "entry",
     [
         lambda w: sym.satisfies_sp(sec.SectorProjectors.build(THREE_COINS), w),
-        lambda w: sym.sector_superselect(sec.SectorProjectors.build(THREE_COINS), w),
+        lambda w: sym.superselect(sec.SectorProjectors.build(THREE_COINS), w),
         lambda w: sec.schur_check(w, sec.assembly_rays(THREE_COINS)),
     ],
     ids=["satisfies_sp", "sector_superselect", "schur_check"],
