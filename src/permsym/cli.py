@@ -143,8 +143,6 @@ def _cmd_decompose(args) -> int:
 def _cmd_symmetrise(args) -> int:
     config = AssemblyConfig(args.n, args.d)
     a = hilbert.matrix_from_json(_read_text(args.input))
-    if a.shape != (config.dim, config.dim):
-        raise ValueError(f"matrix shape {a.shape} does not match dim {config.dim}")
     print(hilbert.matrix_to_json(symmetriser.symmetrise(config, a)))
     return 0
 
@@ -307,17 +305,13 @@ def _cmd_model(args) -> int:
         )
         return 0
     if args.symmetric:
-        stabilizers = [
-            symgroup.format_cycles(p)
-            for p in symgroup.all_permutations(model.size)
-            if models.apply_perm(p, model) == model
-        ]
+        stabiliser = models.stabiliser(model)
         _emit(
             {
                 "command": "model",
-                "symmetric": len(stabilizers) > 1,
-                "fully_symmetric": len(stabilizers) == math.factorial(model.size),
-                "stabilizers": stabilizers,
+                "symmetric": len(stabiliser) > 1,
+                "fully_symmetric": len(stabiliser) == math.factorial(model.size),
+                "stabilizers": [symgroup.format_cycles(p) for p in stabiliser],
             }
         )
         return 0
@@ -396,9 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_nd(p, n_default=None, d_default=None):
-        p.add_argument("--n", type=int, required=n_default is None, default=n_default)
-        p.add_argument("--d", type=int, required=d_default is None, default=d_default)
+    def add_nd(p):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--d", type=int, required=True)
 
     p = sub.add_parser("decompose", help="sector ranks and generalised rays")
     add_nd(p)
@@ -467,10 +461,7 @@ def run(argv: list[str] | None = None) -> int:
     command = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
         return command(args)
-    except sectors.DecompositionError as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return 1
-    except hilbert.NumericalIntegrityError as exc:
+    except (sectors.DecompositionError, hilbert.NumericalIntegrityError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
     except (MemoryError, RecursionError, np.linalg.LinAlgError) as exc:

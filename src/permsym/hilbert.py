@@ -15,7 +15,8 @@ homomorphism, P(p compose q) = P(p) P(q).
 
 All operators here are dense complex numpy arrays, except P(pi), which is
 kept as its basis index map: applying or conjugating by it is an O(D) /
-O(D^2) relabelling instead of a matrix product.
+O(D^2) relabelling instead of a matrix product.  The symmetriser and the
+test for commuting with every P(pi) live in :mod:`permsym.symmetriser`.
 """
 
 from __future__ import annotations
@@ -26,13 +27,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import symgroup
 from .symgroup import Permutation
 
 # Dense-operator budget: a complex D x D matrix takes 16 D**2 bytes, 1 GiB
-# at D = 2**13; Sigma, the sector pinch and family() each hold a few (Sigma's
-# pair-orbit labels add D**2 (n + 8) bytes), the rays and the sector family
-# none.  Larger assemblies are refused before anything is allocated.
+# at D = 2**13; Sigma and the sector pinch each hold a few (Sigma's pair-orbit
+# labels add D**2 (n + 8) bytes), the rays and the sector family none.
+# Larger assemblies are refused before anything is allocated.
 DIM_CAP = 2**13
 EPS_NORM = 1e-10
 EPS_ABS = 1e-10
@@ -236,60 +236,6 @@ def perm_operator(config: AssemblyConfig, perm: Permutation) -> np.ndarray:
         raise ValueError(f"permutation of 1..{perm.n} on an n={config.n} assembly")
     flat = np.arange(config.dim, dtype=np.int64).reshape((config.d,) * config.n)
     return flat.transpose([image - 1 for image in perm.images]).reshape(-1)
-
-
-def is_symmetric_operator(
-    config: AssemblyConfig, a: np.ndarray, tol: float = EPS_ABS
-) -> bool:
-    """True when a commutes with every P(pi), checked as P a P^dagger == a
-    on the n-1 adjacent transpositions.
-
-    They generate S_n, so commuting with them is commuting with the group.
-    The residual max|P a P^dagger - a| = max|[P, a]| is subadditive along
-    words, because multiplying by a permutation matrix only moves entries:
-    a residual r on the generators bounds the residual of every pi by
-    l(pi) r, where l(pi) <= C(n, 2) is its length as a word in them.
-    """
-    a = _as_square(config, a)
-    maps = (perm_operator(config, s) for s in symgroup.adjacent_transpositions(config.n))
-    return all(float(np.max(np.abs(a[np.ix_(t, t)] - a))) <= tol for t in maps)
-
-
-def _pair_orbit_labels(config: AssemblyConfig) -> np.ndarray:
-    """Label of the S_n-orbit of every index pair (i, j), flat in row-major
-    (i, j) order.
-
-    A permutation moves the pair letters i_k * d + j_k between slots, so
-    the orbit of (i, j) is fixed by their sorted list, read here as a
-    base-d**2 number.  Labels are below D**2 <= DIM_CAP**2 = 2**26.
-    """
-    n, d, dim = config.n, config.d, config.dim
-    letters = _letters(config)
-    pairs = np.empty((dim, dim, n), dtype=letters.dtype)
-    for k in range(n):
-        np.add.outer(letters[k] * d, letters[k], out=pairs[:, :, k])
-    pairs.sort(axis=-1)
-    label = np.zeros((dim, dim), dtype=np.int64)
-    for k in range(n):
-        label *= d * d
-        label += pairs[:, :, k]
-    return label.reshape(-1)
-
-
-def symmetrise(config: AssemblyConfig, a: np.ndarray) -> np.ndarray:
-    """Sigma(A) = (1/n!) sum_pi P(pi) A P(pi)^dagger, the twirl over the
-    permutation representation; it projects End(H) onto the commutant.
-
-    Entry (i, j) of the average is the mean of A over the S_n-orbit of the
-    index pair (i, j), read here from orbit labels with no pass over S_n.
-    """
-    a = _as_square(config, a)
-    label = _pair_orbit_labels(config)
-    orbit_size = np.bincount(label)[label]
-    out = np.empty(a.size, dtype=complex)
-    out.real = np.bincount(label, weights=a.real.reshape(-1))[label] / orbit_size
-    out.imag = np.bincount(label, weights=a.imag.reshape(-1))[label] / orbit_size
-    return out.reshape(a.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,10 @@ relabelling:  s is in PR  iff  P^(-1)(s) is in R, i.e. PR is the pointwise
 image of R.  A model is *symmetric* when some non-identity permutation
 fixes it and *fully symmetric* when all do (equivalently, its permute
 class is a singleton).  Every question about the action is read from one
-pass over S_n, the model's orbit, or from the n-1 adjacent transpositions
-that generate S_n.  Symmetry comes from orbit-stabiliser: |orbit| |Stab| =
-n!, so a model is symmetric exactly when its orbit is smaller than n!.
-Full symmetry, and so fixity, is asked of the generators only.
+pass over S_n, the model's orbit or its stabiliser, or from the n-1
+adjacent transpositions that generate S_n.  A model is symmetric exactly
+when its stabiliser holds more than the identity.  Full symmetry, and so
+fixity, is asked of the generators only.
 
 Two canonical sentences describe a model in the first-order language with
 equality and a name for every individual:
@@ -34,7 +34,8 @@ gpc_check records both and the implication.
 
 Formulas serialise to s-expressions, e.g.
 ``(and (rel R a1 a2) (not (rel R a2 a1)))``, whose heads the printer and
-the parser read from one table.  The evaluator binds every domain name to
+the parser read from one table; the printer refuses a name that would
+not read back as one token.  The evaluator binds every domain name to
 itself before it starts, so a term is one lookup in one environment, and
 treats each dual pair (= and !=, and and or, forall and exists) as one
 case with a polarity.  Each formula is miniscoped once, its conjuncts
@@ -51,7 +52,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -111,9 +111,6 @@ class FiniteModel:
         rels = {}
         members = set(domain)
         for name, rel in relations.items():
-            if not isinstance(rel, Relation):
-                arity, tuples = rel
-                rel = Relation(arity, frozenset(tuple(t) for t in tuples))
             for t in rel.tuples:
                 for entry in t:
                     if entry not in members:
@@ -193,10 +190,15 @@ def permute_class(model: FiniteModel) -> list[FiniteModel]:
     return sorted(_orbit(model), key=model_to_json)
 
 
+def stabiliser(model: FiniteModel) -> list[Permutation]:
+    """The permutations that fix the model, in the order of
+    :func:`permsym.symgroup.all_permutations`: one pass over the group."""
+    return [p for p in symgroup.all_permutations(model.size) if apply_perm(p, model) == model]
+
+
 def is_symmetric_model(model: FiniteModel) -> bool:
-    """Some non-identity permutation fixes the model: the stabiliser is
-    larger than the identity exactly when the orbit is smaller than n!."""
-    return len(_orbit(model)) < math.factorial(model.size)
+    """Some non-identity permutation fixes the model."""
+    return len(stabiliser(model)) > 1
 
 
 def is_fully_symmetric_model(model: FiniteModel) -> bool:
@@ -506,20 +508,27 @@ _HEAD = {
 _KIND = {head: kind for kind, head in _HEAD.items()}
 
 
+def _token(word: str) -> str:
+    """A relation name, term or variable as the one token parse_formula reads back."""
+    if word.split() != [word] or "(" in word or ")" in word:
+        raise FormulaError(f"{word!r} cannot be written as one s-expression token")
+    return word
+
+
 def format_formula(f: Formula) -> str:
     kind = type(f)
     if kind not in _HEAD:
         raise FormulaError(f"not a formula node: {f!r}")
     if kind is Rel:
-        words = (f.name, *f.args)
+        words = map(_token, (f.name, *f.args))
     elif kind is Eq or kind is Ne:
-        words = (f.left, f.right)
+        words = (_token(f.left), _token(f.right))
     elif kind is Not:
         words = (format_formula(f.body),)
     elif kind is And or kind is Or:
         words = map(format_formula, f.parts)
     else:
-        words = (f.var, format_formula(f.body))
+        words = (_token(f.var), format_formula(f.body))
     return f"({_HEAD[kind]} {' '.join(words)})"
 
 

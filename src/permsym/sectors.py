@@ -32,8 +32,8 @@ hook-content formula s_lambda(1^d).  The sector family acts on the same
 blocks: E_S x is the block mean of x, E_A x = s mean(s x) with s the sign
 of each word on blocks of n distinct letters and 0 elsewhere, and E_P x
 the remainder.  Rays and family hold no D x k or D x D array; ``basis``
-and ``family()`` build one on request.  The family needs n >= 2: for one
-particle the sign character is trivial.
+builds a ray's D x k columns on request.  The family needs n >= 2: for
+one particle the sign character is trivial.
 """
 
 from __future__ import annotations
@@ -99,10 +99,6 @@ class SectorProjectors:
         r_a = int(np.count_nonzero(self.sign)) // math.factorial(self.config.n)
         return r_s, r_a, self.config.dim - r_s - r_a
 
-    def family(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """E_S, E_A and E_P as dense D x D matrices."""
-        return self.split(np.eye(self.config.dim, dtype=complex))
-
 
 # ---------------------------------------------------------------------------
 # generalised rays and isotypic components
@@ -126,11 +122,6 @@ class GeneralisedRay:
         basis = np.zeros((self.config.dim, self.dim), dtype=complex)
         basis[self.index] = self.vectors
         return basis
-
-    def projector(self) -> np.ndarray:
-        p = np.zeros((self.config.dim,) * 2, dtype=complex)
-        p[np.ix_(self.index, self.index)] = self.vectors @ self.vectors.T
-        return p
 
     def compress(self, a: np.ndarray) -> np.ndarray:
         """Compression B^dagger a B of an operator onto the ray."""
@@ -156,11 +147,6 @@ class IsotypicComponent:
     @property
     def rank(self) -> int:
         return self.copies * self.dim_irrep
-
-    @property
-    def projector(self) -> np.ndarray:
-        """P_lambda, the sum of the ray projectors."""
-        return sum((ray.projector() for ray in self.rays), np.zeros((self.config.dim,) * 2, complex))
 
 
 def _index_maps(config: AssemblyConfig, perms: list, index: np.ndarray) -> list[np.ndarray]:

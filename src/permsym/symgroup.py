@@ -152,7 +152,9 @@ def parse_permutation(text: str, n: int | None = None) -> Permutation:
                 break
             if not rest.startswith("("):
                 raise ValueError(f"bad cycle form: {text!r}")
-            close = rest.index(")")
+            close = rest.find(")")
+            if close < 0:
+                raise ValueError(f"unbalanced cycle form: {text!r}")
             body = rest[1:close].replace(",", " ")
             pts = tuple(int(tok) for tok in body.split())
             if pts:

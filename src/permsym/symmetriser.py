@@ -1,13 +1,14 @@
 """The symmetriser on operators and what expectation values can see.
 
 Sigma(A) = (1/n!) sum_pi P(pi) A P(pi)^dagger averages an operator over
-the permutation representation; :func:`permsym.hilbert.symmetrise`
-computes entry (i, j) as the mean of A over the S_n-orbit of the index
-pair (i, j), with no pass over the group.  Sigma is an orthogonal
-projector on the operator space End(H) with the Hilbert-Schmidt inner
-product, fixes exactly the symmetric (permutation-commuting) operators,
-and preserves trace, self-adjointness and positivity.  Two trace
-identities follow and are exposed as residual checks:
+the permutation representation; :func:`symmetrise` computes entry (i, j)
+as the mean of A over the S_n-orbit of the index pair (i, j), with no
+pass over the group.  Sigma is an orthogonal projector on the operator
+space End(H) with the Hilbert-Schmidt inner product onto the commutant of
+the P(pi), fixes exactly the symmetric (permutation-commuting) operators,
+which :func:`is_symmetric_operator` recognises on the adjacent
+transpositions, and preserves trace, self-adjointness and positivity.
+Two trace identities follow and are exposed as residual checks:
 
     (a)  Tr(Sigma(W) Q) = Tr(Sigma(W) Sigma(Q))
     (b)  Tr(W Sigma(Q)) = Tr(Sigma(W) Sigma(Q))
@@ -30,8 +31,65 @@ from __future__ import annotations
 import numpy as np
 
 from . import hilbert, symgroup
-from .hilbert import EPS_ABS, AssemblyConfig, symmetrise
+from .hilbert import EPS_ABS, AssemblyConfig
 from .sectors import SectorProjectors
+
+
+# ---------------------------------------------------------------------------
+# Sigma, the commutant and the trace identities
+
+def is_symmetric_operator(
+    config: AssemblyConfig, a: np.ndarray, tol: float = EPS_ABS
+) -> bool:
+    """True when a commutes with every P(pi), checked as P a P^dagger == a
+    on the n-1 adjacent transpositions.
+
+    They generate S_n, so commuting with them is commuting with the group.
+    The residual max|P a P^dagger - a| = max|[P, a]| is subadditive along
+    words, because multiplying by a permutation matrix only moves entries:
+    a residual r on the generators bounds the residual of every pi by
+    l(pi) r, where l(pi) <= C(n, 2) is its length as a word in them.
+    """
+    a = hilbert._as_square(config, a)
+    maps = (hilbert.perm_operator(config, s) for s in symgroup.adjacent_transpositions(config.n))
+    return all(float(np.max(np.abs(a[np.ix_(t, t)] - a))) <= tol for t in maps)
+
+
+def _pair_orbit_labels(config: AssemblyConfig) -> np.ndarray:
+    """Label of the S_n-orbit of every index pair (i, j), flat in row-major
+    (i, j) order.
+
+    A permutation moves the pair letters i_k * d + j_k between slots, so
+    the orbit of (i, j) is fixed by their sorted list, read here as a
+    base-d**2 number.  Labels are below D**2 <= DIM_CAP**2 = 2**26.
+    """
+    n, d, dim = config.n, config.d, config.dim
+    letters = hilbert._letters(config)
+    pairs = np.empty((dim, dim, n), dtype=letters.dtype)
+    for k in range(n):
+        np.add.outer(letters[k] * d, letters[k], out=pairs[:, :, k])
+    pairs.sort(axis=-1)
+    label = np.zeros((dim, dim), dtype=np.int64)
+    for k in range(n):
+        label *= d * d
+        label += pairs[:, :, k]
+    return label.reshape(-1)
+
+
+def symmetrise(config: AssemblyConfig, a: np.ndarray) -> np.ndarray:
+    """Sigma(A) = (1/n!) sum_pi P(pi) A P(pi)^dagger, the twirl over the
+    permutation representation; it projects End(H) onto the commutant.
+
+    Entry (i, j) of the average is the mean of A over the S_n-orbit of the
+    index pair (i, j), read here from orbit labels with no pass over S_n.
+    """
+    a = hilbert._as_square(config, a)
+    label = _pair_orbit_labels(config)
+    orbit_size = np.bincount(label)[label]
+    out = np.empty(a.size, dtype=complex)
+    out.real = np.bincount(label, weights=a.real.reshape(-1))[label] / orbit_size
+    out.imag = np.bincount(label, weights=a.imag.reshape(-1))[label] / orbit_size
+    return out.reshape(a.shape)
 
 
 def sim_equivalent(
@@ -91,7 +149,7 @@ def satisfies_sp(
     w = hilbert._as_square(sectors.config, w)
     if float(np.max(np.abs(sectors.split(w)[2]))) > tol:
         return False
-    return hilbert.is_symmetric_operator(sectors.config, w, tol=tol)
+    return is_symmetric_operator(sectors.config, w, tol=tol)
 
 
 def satisfies_ip(

@@ -200,7 +200,7 @@ def test_symmetrise_shape_mismatch_is_usage_error(capsys, tmp_path):
     src.write_text(hb.matrix_to_json(np.eye(3)), encoding="utf-8")
     code, _, err = run_cli(capsys, ["symmetrise", "--n", "2", "--d", "2", "--input", str(src)])
     assert code == 2
-    assert "error" in err
+    assert err == "error: expected shape (4, 4), got (3, 3)\n"
 
 
 def test_missing_input_file_is_usage_error(capsys):
@@ -776,6 +776,22 @@ def test_structure_description_at_the_name_cap_prints_and_reads_back(capsys, mon
     text = out.strip()
     assert text.count("(exists ") == len(names)
     assert md.format_formula(md.parse_formula(text)) == text
+
+
+@pytest.mark.parametrize(
+    "model,kind",
+    [
+        ({"domain": ["a b", "c"], "relations": {"R": {"arity": 2, "tuples": [["a b", "c"]]}}}, "state"),
+        ({"domain": ["a", "(b)"]}, "state"),
+        ({"domain": ["a"], "relations": {"R S": {"arity": 1, "tuples": []}}}, "structure"),
+    ],
+)
+def test_describe_refuses_names_it_cannot_print(capsys, monkeypatch, model, kind):
+    # "(rel R a b c)" would be printed for the first, and reads back as another formula
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(model)))
+    code, out, err = run_cli(capsys, ["model", "--input", "-", "--describe", kind])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "one s-expression token" in err
 
 
 def test_console_script_is_installed():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from permsym import hilbert as hb
 from permsym import symgroup as sg
+from permsym import symmetriser as sym
 
 H = np.array([1.0, 0.0])
 T = np.array([0.0, 1.0])
@@ -235,10 +236,10 @@ def test_trace_cyclicity_of_pairing():
 
 def test_is_symmetric_operator():
     cfg = hb.AssemblyConfig(2, 2)
-    assert hb.is_symmetric_operator(cfg, np.eye(4, dtype=complex))
-    assert hb.is_symmetric_operator(cfg, heads_count(cfg))
+    assert sym.is_symmetric_operator(cfg, np.eye(4, dtype=complex))
+    assert sym.is_symmetric_operator(cfg, heads_count(cfg))
     ht_proj = hb.basis_state(cfg, (0, 1)).projector()
-    assert not hb.is_symmetric_operator(cfg, ht_proj)
+    assert not sym.is_symmetric_operator(cfg, ht_proj)
 
 
 def test_is_symmetric_operator_agrees_with_the_whole_group():
@@ -250,11 +251,11 @@ def test_is_symmetric_operator_agrees_with_the_whole_group():
     cfg = hb.AssemblyConfig(4, 2)
     rng = hb.rng_for(17)
     a = hb.random_observable(cfg, rng)
-    twirled = hb.symmetrise(cfg, a)
+    twirled = sym.symmetrise(cfg, a)
     # counts letter-1 slots among slots 1-3: commutes with (1 2) and (2 3), not (3 4)
     partial = np.diag([float(sum(cfg.letters(i)[:3])) for i in range(cfg.dim)]).astype(complex)
     for op, want in [(a, False), (twirled, True), (partial, False)]:
-        assert hb.is_symmetric_operator(cfg, op) is want
+        assert sym.is_symmetric_operator(cfg, op) is want
         assert commutes_with_every_pi(cfg, op) is want
 
 
@@ -263,10 +264,10 @@ def test_group_average_lands_in_commutant():
     cfg = hb.AssemblyConfig(3, 2)
     rng = hb.rng_for(4)
     a = hb.random_observable(cfg, rng)
-    twirled = hb.symmetrise(cfg, a)
-    assert hb.is_symmetric_operator(cfg, twirled, tol=1e-12)
+    twirled = sym.symmetrise(cfg, a)
+    assert sym.is_symmetric_operator(cfg, twirled, tol=1e-12)
     assert abs(np.trace(twirled) - np.trace(a)) < 1e-12
-    assert np.array_equal(hb.symmetrise(cfg, np.eye(8, dtype=complex)), np.eye(8))
+    assert np.array_equal(sym.symmetrise(cfg, np.eye(8, dtype=complex)), np.eye(8))
 
 
 def twirl_over_every_pi(cfg, a):
@@ -282,7 +283,7 @@ def test_symmetrise_agrees_with_the_twirl_over_every_pi(n, d):
     rng = hb.rng_for(10 * n + d)
     # complex and not Hermitian, so no entry is tied to its transpose
     a = rng.normal(size=(cfg.dim, cfg.dim)) + 1j * rng.normal(size=(cfg.dim, cfg.dim))
-    assert np.max(np.abs(hb.symmetrise(cfg, a) - twirl_over_every_pi(cfg, a))) <= 1e-12
+    assert np.max(np.abs(sym.symmetrise(cfg, a) - twirl_over_every_pi(cfg, a))) <= 1e-12
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))

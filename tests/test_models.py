@@ -76,9 +76,11 @@ def test_symmetry_predicates_examples():
     diag = md.FiniteModel(ABC, {"R": md.Relation(2, frozenset({(x, x) for x in ABC}))})
     assert md.is_fully_symmetric_model(diag)
     swap_sym = model_ab([("a", "b"), ("b", "a")])
+    assert md.stabiliser(swap_sym) == [sg.identity(2), sg.from_cycles(2, [(1, 2)])]
     assert md.is_symmetric_model(swap_sym)
     assert md.is_fully_symmetric_model(swap_sym)
     lone = model_ab([("a", "b")])
+    assert md.stabiliser(lone) == [sg.identity(2)]
     assert not md.is_symmetric_model(lone)
     assert not md.is_fully_symmetric_model(lone)
 
@@ -233,6 +235,23 @@ def test_parse_format_roundtrip(text):
 def test_descriptions_roundtrip_through_text(m):
     for desc in (md.state_description(m), md.structure_description(m)):
         assert md.parse_formula(md.format_formula(desc)) == desc
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        md.Rel("R", ("a b",)),
+        md.Rel("", ("a",)),
+        md.Rel("R(", ("a",)),
+        md.Ne("a", "b\tc"),
+        md.Eq("a)", "b"),
+        md.Not(md.Exists("", md.Rel("R", ("a",)))),
+    ],
+    ids=repr,
+)
+def test_format_refuses_words_that_would_not_read_back(f):
+    with pytest.raises(md.FormulaError, match="one s-expression token"):
+        md.format_formula(f)
 
 
 @pytest.mark.parametrize(

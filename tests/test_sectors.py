@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from permsym import hilbert as hb
 from permsym import sectors as sec
 from permsym import symgroup as sg
+from permsym import symmetriser as sym
 
 # closed forms: bosonic rank C(d+n-1, n), fermionic rank C(d, n)
 SECTOR_RANK_CASES = [
@@ -24,6 +25,11 @@ SECTOR_RANK_CASES = [
 ]
 
 
+def dense_family(cfg):
+    """E_S, E_A and E_P as dense D x D matrices: the family applied to I."""
+    return sec.SectorProjectors.build(cfg).split(np.eye(cfg.dim))
+
+
 @pytest.mark.parametrize("n,d,r_sym,r_anti", SECTOR_RANK_CASES)
 def test_sector_ranks_match_closed_forms(n, d, r_sym, r_anti):
     cfg = hb.AssemblyConfig(n, d)
@@ -32,7 +38,7 @@ def test_sector_ranks_match_closed_forms(n, d, r_sym, r_anti):
     assert math.comb(d, n) == r_anti
     assert fam.ranks() == (r_sym, r_anti, cfg.dim - r_sym - r_anti)
     # independent rank route
-    e_s, e_a, _ = fam.family()
+    e_s, e_a, _ = dense_family(cfg)
     assert np.linalg.matrix_rank(e_s, tol=1e-8) == r_sym
     assert np.linalg.matrix_rank(e_a, tol=1e-8) == r_anti
 
@@ -40,7 +46,7 @@ def test_sector_ranks_match_closed_forms(n, d, r_sym, r_anti):
 @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (3, 3), (4, 2)])
 def test_sector_family_partitions_identity(n, d):
     cfg = hb.AssemblyConfig(n, d)
-    family = sec.SectorProjectors.build(cfg).family()
+    family = dense_family(cfg)
     total = np.zeros((cfg.dim, cfg.dim), dtype=complex)
     for p in family:
         assert np.max(np.abs(p - p.conj().T)) < 1e-12
@@ -58,7 +64,7 @@ def test_sector_projectors_commute_with_representation():
     fam = sec.SectorProjectors.build(cfg)
     for pi in sg.all_permutations(cfg.n):
         t = hb.perm_operator(cfg, pi)
-        for p in fam.family():
+        for p in dense_family(cfg):
             assert np.max(np.abs(p[np.ix_(t, t)] - p)) < 1e-12
 
 
@@ -69,7 +75,7 @@ def test_single_slot_family_is_rejected():
 
 def test_two_coin_sector_projectors_exact():
     cfg = hb.AssemblyConfig(2, 2)
-    symmetric, antisymmetric, para = sec.SectorProjectors.build(cfg).family()
+    symmetric, antisymmetric, para = dense_family(cfg)
     e_s = np.array(
         [
             [1, 0, 0, 0],
@@ -108,18 +114,27 @@ def components_by_shape(cfg):
     return {c.shape: c for c in sec.all_isotypic(cfg)}
 
 
+def ray_projector(ray):
+    return ray.basis @ ray.basis.conj().T
+
+
+def isotypic_projector(comp):
+    """P_lambda, the sum of the ray projectors."""
+    return sum((ray_projector(ray) for ray in comp.rays), np.zeros((comp.config.dim,) * 2))
+
+
 # ---------------------------------------------------------------------------
 # isotypic components
 
 def test_isotypic_projectors_resolve_identity():
     cfg = hb.AssemblyConfig(3, 2)
     comps = sec.all_isotypic(cfg)
-    total = sum(c.projector for c in comps)
+    total = sum(isotypic_projector(c) for c in comps)
     assert np.max(np.abs(total - np.eye(cfg.dim))) < 1e-12
     for i, a in enumerate(comps):
         for j, b in enumerate(comps):
-            prod = a.projector @ b.projector
-            ref = a.projector if i == j else 0.0
+            prod = isotypic_projector(a) @ isotypic_projector(b)
+            ref = isotypic_projector(a) if i == j else 0.0
             assert np.max(np.abs(prod - ref)) < 1e-12
 
 
@@ -150,16 +165,16 @@ def test_isotypic_ranks_four_slots_dim_two():
 
 def test_isotypic_matches_sector_projectors():
     cfg = hb.AssemblyConfig(3, 3)
-    symmetric, antisymmetric, para = sec.SectorProjectors.build(cfg).family()
+    symmetric, antisymmetric, para = dense_family(cfg)
     by_shape = components_by_shape(cfg)
-    assert np.max(np.abs(by_shape[(3,)].projector - symmetric)) < 1e-12
-    assert np.max(np.abs(by_shape[(1, 1, 1)].projector - antisymmetric)) < 1e-12
-    assert np.max(np.abs(by_shape[(2, 1)].projector - para)) < 1e-12
+    assert np.max(np.abs(isotypic_projector(by_shape[(3,)]) - symmetric)) < 1e-12
+    assert np.max(np.abs(isotypic_projector(by_shape[(1, 1, 1)]) - antisymmetric)) < 1e-12
+    assert np.max(np.abs(isotypic_projector(by_shape[(2, 1)]) - para)) < 1e-12
 
 
 def test_isotypic_projector_commutes_with_representation():
     cfg = hb.AssemblyConfig(3, 2)
-    p = components_by_shape(cfg)[(2, 1)].projector
+    p = isotypic_projector(components_by_shape(cfg)[(2, 1)])
     for pi in sg.all_permutations(cfg.n):
         t = hb.perm_operator(cfg, pi)
         assert np.max(np.abs(p[np.ix_(t, t)] - p)) < 1e-12
@@ -171,12 +186,12 @@ ORACLE_CONFIGS = [(2, 2), (3, 2), (4, 2), (5, 2), (6, 2), (3, 3), (4, 3), (4, 4)
 @pytest.mark.parametrize("n,d", ORACLE_CONFIGS)
 def test_weight_block_split_agrees_with_the_class_sum_oracle(n, d):
     cfg = hb.AssemblyConfig(n, d)
-    symmetric, antisymmetric, _ = sec.SectorProjectors.build(cfg).family()
+    symmetric, antisymmetric, _ = dense_family(cfg)
     assert np.max(np.abs(symmetric - class_sum_projector(cfg, (n,)))) <= 1e-15
     assert np.max(np.abs(antisymmetric - class_sum_projector(cfg, (1,) * n))) <= 1e-15
     for comp in sec.all_isotypic(cfg):
         shape = comp.shape
-        assert np.max(np.abs(comp.projector - class_sum_projector(cfg, shape))) <= 1e-12
+        assert np.max(np.abs(isotypic_projector(comp) - class_sum_projector(cfg, shape))) <= 1e-12
         assert comp.copies == tensor_power_multiplicity(shape, d)
         for ray in comp.rays:
             assert ray.shape == shape and ray.dim == sg.irrep_dimension(shape)
@@ -193,7 +208,7 @@ def test_single_copy_component_is_its_own_ray():
     assert comp.copies == 1
     assert len(comp.rays) == 1
     assert comp.rays[0].dim == 1
-    assert np.max(np.abs(comp.rays[0].projector() - class_sum_projector(cfg, (1, 1, 1)))) < 1e-10
+    assert np.max(np.abs(ray_projector(comp.rays[0]) - class_sum_projector(cfg, (1, 1, 1)))) < 1e-10
 
 
 def test_bosonic_component_splits_into_ordinary_rays():
@@ -202,7 +217,7 @@ def test_bosonic_component_splits_into_ordinary_rays():
     cfg = hb.AssemblyConfig(3, 2)
     rays = components_by_shape(cfg)[(3,)].rays
     assert [r.dim for r in rays] == [1, 1, 1, 1]
-    total = sum(r.projector() for r in rays)
+    total = sum(ray_projector(r) for r in rays)
     assert np.max(np.abs(total - class_sum_projector(cfg, (3,)))) < 1e-10
 
 
@@ -210,7 +225,7 @@ def test_multi_copy_split_three_coins():
     cfg = hb.AssemblyConfig(3, 2)
     rays = components_by_shape(cfg)[(2, 1)].rays
     assert [r.dim for r in rays] == [2, 2]
-    total = sum(r.projector() for r in rays)
+    total = sum(ray_projector(r) for r in rays)
     assert np.max(np.abs(total - class_sum_projector(cfg, (2, 1)))) < 1e-10
     # pairwise orthogonal
     assert np.max(np.abs(rays[0].basis.conj().T @ rays[1].basis)) < 1e-10
@@ -409,7 +424,7 @@ def test_classify_vector_paraparticle():
 def test_schur_scalars_on_symmetric_operator():
     cfg = hb.AssemblyConfig(3, 2)
     rays = sec.assembly_rays(cfg)
-    q = hb.symmetrise(cfg, hb.random_observable(cfg, hb.rng_for(3)))
+    q = sym.symmetrise(cfg, hb.random_observable(cfg, hb.rng_for(3)))
     report = sec.schur_check(q, rays)
     assert report.ok
     assert report.max_residual < 1e-10
@@ -432,5 +447,5 @@ def test_schur_check_flags_non_symmetric_operator():
 def test_twirled_operators_are_schur_scalar(seed):
     cfg = hb.AssemblyConfig(2, 2)
     rays = sec.assembly_rays(cfg)
-    q = hb.symmetrise(cfg, hb.random_observable(cfg, hb.rng_for(seed)))
+    q = sym.symmetrise(cfg, hb.random_observable(cfg, hb.rng_for(seed)))
     assert sec.schur_check(q, rays).ok
