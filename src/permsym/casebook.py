@@ -155,7 +155,7 @@ class BlochState:
     pure: bool  # on the sphere: |q|^2 = p(1-p)
 
 
-def bloch_density(p: float, q: complex, tol: float = EPS_BLOCH) -> BlochState:
+def bloch_density(p: float, q: complex) -> BlochState:
     """The 2x2 state [[p, q*], [q, 1-p]] in the (psi_s, psi_a) basis.
 
     Rejects parameters off the ball: needs 0 <= p <= 1 and
@@ -163,13 +163,13 @@ def bloch_density(p: float, q: complex, tol: float = EPS_BLOCH) -> BlochState:
     """
     p = float(p)
     q = complex(q)
-    if not -tol <= p <= 1.0 + tol:
+    if not -EPS_BLOCH <= p <= 1.0 + EPS_BLOCH:
         raise ValueError(f"p = {p} outside [0, 1]")
     slack = p * (1.0 - p) - abs(q) ** 2
-    if slack < -tol:
+    if slack < -EPS_BLOCH:
         raise ValueError(f"|q|^2 = {abs(q)**2} exceeds p(1-p) = {p * (1.0 - p)}")
     m = np.array([[p, q.conjugate()], [q, 1.0 - p]], dtype=complex)
-    return BlochState(p, q, m, symmetric=abs(q) <= tol, pure=abs(slack) <= tol)
+    return BlochState(p, q, m, symmetric=abs(q) <= EPS_BLOCH, pure=abs(slack) <= EPS_BLOCH)
 
 
 def point_state(point: BlochPoint) -> BlochState:
@@ -192,12 +192,12 @@ def slice_expectations(state: BlochState) -> tuple[float, float]:
     return e_s, e_a
 
 
-def bloch_slice_equivalent(a: BlochState, b: BlochState, tol: float = EPS_BLOCH) -> bool:
+def bloch_slice_equivalent(a: BlochState, b: BlochState) -> bool:
     """Whether two ball states are indistinguishable by symmetric
     observables: same expectations on the diagonal observable basis."""
     ea = slice_expectations(a)
     eb = slice_expectations(b)
-    return all(abs(x - y) <= tol for x, y in zip(ea, eb))
+    return all(abs(x - y) <= EPS_BLOCH for x, y in zip(ea, eb))
 
 
 def bloch_sweep(steps: int) -> list[dict]:

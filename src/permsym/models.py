@@ -36,16 +36,15 @@ Formulas serialise to s-expressions, e.g.
 ``(and (rel R a1 a2) (not (rel R a2 a1)))``, whose heads the printer and
 the parser read from one table; the printer refuses a name that would
 not read back as one token.  The evaluator binds every domain name to
-itself before it starts, so a term is one lookup in one environment, and
+itself before it starts, so a term is one lookup in one environment,
 treats each dual pair (= and !=, and and or, forall and exists) as one
-case with a polarity.  Each formula is miniscoped once, its conjuncts
-moved out of each exists to the nearest quantifier that binds one of
-their terms (disjuncts out of each forall), so that a chain of exists
-prunes at the first atom that fails; the last formula's rewrite is kept
-for the models that follow.  The rewrite is walked only where no atom can
-raise, so errors stay lazy: a branch that is never evaluated raises
-nothing.  Models and theories serialise to JSON through one dict form
-each, whose readers refuse anything else.
+case with a polarity, and walks each formula once, as written, so errors
+stay lazy: a branch that is never evaluated raises nothing.  The
+structure description is built miniscoped (Harrison, *Handbook of
+Practical Logic and Automated Reasoning*, 2009), each conjunct under the
+exists of the last variable it mentions, so that its chain of exists
+prunes at the first atom that fails.  Models and theories serialise to
+JSON through one dict form each, whose readers refuse anything else.
 """
 
 from __future__ import annotations
@@ -75,12 +74,14 @@ class TheoryError(ValueError):
 # refused before they start.
 ATOM_CAP = 2**20
 
-# A structure description nests one exists per name, and the printer and
-# the parser take one frame per level: past about 990 names the printer
-# exhausts the default recursion limit of 1000.  At 2**9 names, with room
-# left for the caller's frames, the description prints and parse_formula
-# reads it back.  Larger models are refused before anything is built.
-STRUCTURE_NAME_CAP = 2**9
+# A structure description nests one exists and one and per name, and the
+# printer, the parser and the walker of satisfies each take about three
+# frames per name (CPython 3.11): each exhausts the default recursion limit
+# of 1000 at about 330 names.  At 2**8 names, with room left for the
+# caller's frames, the description prints, parse_formula reads it back and
+# satisfies evaluates it; at 2**9 the printer raises RecursionError.
+# Larger models are refused before anything is built.
+STRUCTURE_NAME_CAP = 2**8
 
 
 @dataclass(frozen=True)
@@ -277,124 +278,17 @@ class Exists:
 Formula = Rel | Eq | Ne | Not | And | Or | ForAll | Exists
 
 
-def _miniscope(formula: Formula) -> tuple:
-    """The formula rewritten so that quantifiers prune, its free terms and
-    the (relation, arity) pairs it uses.  None in place of the rewrite when
-    no conjunct moved, or when some node is malformed (not a formula node,
-    unhashable terms) or nests past the recursion limit: the walker raises
-    for those only if it reaches them.
-
-    One bottom-up pass, one frame per nesting level.  Nested and/or are
-    flattened and quantified blocks put after the other parts.  Inside
-    exists x (A and ...), each conjunct without x free moves out of the
-    quantifier, and so on up to the nearest one that binds one of its free
-    terms; forall x (A or ...) likewise.  A quantifier keeps at least one
-    part, so the rewrite has the same truth value on every domain, the
-    empty one included, wherever no atom can raise.
-    """
-    used: set[tuple[str, int]] = set()
-    moved = False
-
-    def scope(f) -> tuple:
-        # (node, its free terms, and for an and/or node its (part, free)
-        # pairs); an atom's terms stay the tuple it holds
-        nonlocal moved
-        kind = type(f)
-        if kind is Rel:
-            used.add((f.name, len(f.args)))
-            return f, f.args, None
-        if kind is Eq or kind is Ne:
-            return f, (f.left, f.right), None
-        if kind is Not:
-            body, free, _ = scope(f.body)
-            return f if body is f.body else Not(body), free, None
-        if kind is And or kind is Or:
-            pairs, free = [], set()
-            for part in f.parts:
-                node, got, sub = scope(part)
-                free.update(got)
-                if type(node) is kind:
-                    pairs.extend(sub)
-                else:
-                    pairs.append((node, got))
-            return _junction(kind, pairs), free, pairs
-        if kind is ForAll or kind is Exists:
-            body, free, sub = scope(f.body)
-            free = set(free)
-            free.discard(f.var)
-            junction = type(body)
-            if junction is (And if kind is Exists else Or):
-                inner = [pair for pair in sub if f.var in pair[1]]
-                pairs = [pair for pair in sub if f.var not in pair[1]]
-                if inner and pairs:
-                    moved = True
-                    block_free = set()
-                    for _, got in inner:
-                        block_free.update(got)
-                    block_free.discard(f.var)
-                    block = inner[0][0] if len(inner) == 1 else _junction(junction, inner)
-                    pairs.append((kind(f.var, block), block_free))
-                    return _junction(junction, pairs), free, pairs
-            return kind(f.var, body), free, None
-        raise FormulaError(f"not a formula node: {f!r}")
-
-    try:
-        scoped, free, _ = scope(formula)
-    except (FormulaError, TypeError, RecursionError):
-        moved = False
-    if not moved:
-        return None, frozenset(), frozenset()
-    return scoped, frozenset(free), frozenset(used)
-
-
-def _junction(kind: type, pairs: list) -> Formula:
-    """The and/or of the parts of (part, free) pairs, quantified blocks last."""
-    pairs.sort(key=lambda pair: type(pair[0]) is ForAll or type(pair[0]) is Exists)
-    return kind(tuple(part for part, _ in pairs))
-
-
-def _clean(model: FiniteModel, env: dict, free: frozenset, used: frozenset) -> bool:
-    """No atom of a formula with these free terms and (relation, arity)
-    pairs can raise in the model, whichever the walker reaches first."""
-    if not env.keys() >= free:
-        return False
-    for name, arity in used:
-        rel = model.relations.get(name)
-        if rel is None or rel.arity != arity:
-            return False
-    return True
-
-
-# The last formula satisfies was asked and its _miniscope entry.  Callers
-# ask one formula of many models in a row, so one entry suffices, matched
-# by identity: an equality key hashes the frozen dataclass tree on every
-# call, which cost more than the rewrite saved.
-_last: tuple = (None, None, frozenset(), frozenset())
-
-
 def satisfies(model: FiniteModel, formula: Formula) -> bool:
-    """Evaluate a closed formula in the model.
+    """Evaluate a closed formula in the model, walking it once as written.
 
     Every domain name starts bound to itself, and quantifier bindings
     shadow it, so a term is one lookup; anything else is an unbound symbol
     and raises when it is reached.  Quantifiers range over the domain.
-
-    The walker evaluates the formula's miniscoped rewrite (see _miniscope),
-    in which exists x1 exists x2 (...) stops at the first atom that an
-    assignment of x1 fails, when nothing in the formula can raise in this
-    model: every relation it names exists with the arity it uses, and
-    every free term is a domain name.  The rewrite is made once per formula
-    and kept in one entry, matched by identity, for the calls that follow
-    with the same formula object.  The formula is walked as written, in its
-    own order, when it can raise, so that errors stay lazy (an error in a
-    branch that is never reached raises nothing), and when the rewrite
-    moved nothing or nests too deeply to walk.
+    Errors are lazy: an atom in a branch that is never evaluated raises
+    nothing.  An exists prunes only as far as the formula is miniscoped:
+    structure_description builds its formula so that each exists stops at
+    the first atom that an assignment of the outer variables fails.
     """
-    global _last
-    entry = _last
-    if entry[0] is not formula:
-        entry = _last = (formula, *_miniscope(formula))
-    _, scoped, free, used = entry
     env = {a: a for a in model.domain}
 
     def ev(f: Formula) -> bool:
@@ -433,13 +327,6 @@ def satisfies(model: FiniteModel, formula: Formula) -> bool:
         raise FormulaError(f"not a formula node: {f!r}")
 
     try:
-        if scoped is not None and _clean(model, env, free, used):
-            try:
-                return ev(scoped)
-            except RecursionError:
-                # an exists-chain nests three frames deep per quantifier in
-                # the rewrite, against one as written
-                pass
         return ev(formula)
     except KeyError as exc:
         raise FormulaError(
@@ -455,46 +342,62 @@ def _fresh(stem: str, taken: Iterable[str]) -> str:
     return name
 
 
-def _description(model: FiniteModel, term: Mapping[str, str]) -> Formula:
+def _description(model: FiniteModel, term: Mapping[str, str]) -> list[tuple[int, Formula]]:
     """Every relation atom signed as it holds, all pairwise inequalities and
     the closure clause that everything is one of the terms, with each name
-    a written as term[a]."""
+    a written as term[a]; each conjunct paired with the domain position of
+    the last name it mentions."""
     # the pairwise inequalities grow like one binary relation
     for arity in (2, *(rel.arity for rel in model.relations.values())):
         _check_atoms(model.size, arity)
-    parts: list[Formula] = []
+    position = {a: k for k, a in enumerate(model.domain)}
+    parts: list[tuple[int, Formula]] = []
     for name in sorted(model.relations):
         rel = model.relations[name]
         for t in itertools.product(model.domain, repeat=rel.arity):
             atom = Rel(name, tuple(term[a] for a in t))
-            parts.append(atom if t in rel.tuples else Not(atom))
+            last = max(map(position.__getitem__, t))
+            parts.append((last, atom if t in rel.tuples else Not(atom)))
     terms = [term[a] for a in model.domain]
-    parts.extend(Ne(left, right) for left, right in itertools.combinations(terms, 2))
+    parts.extend(
+        (j, Ne(terms[i], terms[j])) for i, j in itertools.combinations(range(len(terms)), 2)
+    )
     y = _fresh("y", model.domain)
-    parts.append(ForAll(y, Or(tuple(Eq(y, t) for t in terms))))
-    return And(tuple(parts))
+    parts.append((len(terms) - 1, ForAll(y, Or(tuple(Eq(y, t) for t in terms)))))
+    return parts
 
 
 def state_description(model: FiniteModel) -> Formula:
     """The conjunction true in exactly this model (over its domain):
     every relation atom signed as it holds, all pairwise name
     inequalities, and the closure clause that everything is a name."""
-    return _description(model, {a: a for a in model.domain})
+    return And(tuple(part for _, part in _description(model, {a: a for a in model.domain})))
 
 
 def structure_description(model: FiniteModel) -> Formula:
     """The existential closure of the state description with names turned
     into variables; true in exactly the permute class of the model.
-    Refused past STRUCTURE_NAME_CAP names."""
+    Refused past STRUCTURE_NAME_CAP names.
+
+    Built miniscoped: each conjunct goes under the exists of the last
+    variable it mentions, in its order in the state description and before
+    the nested exists, so that an assignment of x1 that fails an atom on x1
+    alone is rejected before x2 is bound.  A level with no conjunct of its
+    own is the bare nested exists.
+    """
     if model.size > STRUCTURE_NAME_CAP:
         raise ValueError(
             f"{model.size} names exceed the structure description cap {STRUCTURE_NAME_CAP}"
         )
-    to_var = {a: _fresh(f"x{i + 1}", model.domain) for i, a in enumerate(model.domain)}
-    body = _description(model, to_var)
-    for a in reversed(model.domain):
-        body = Exists(to_var[a], body)
-    return body
+    variables = [_fresh(f"x{i + 1}", model.domain) for i in range(model.size)]
+    own: list[list[Formula]] = [[] for _ in variables]
+    for last, part in _description(model, dict(zip(model.domain, variables))):
+        own[last].append(part)
+    # the innermost level holds at least the closure clause
+    formula = Exists(variables[-1], And(tuple(own[-1])))
+    for var, parts in zip(variables[-2::-1], own[-2::-1]):
+        formula = Exists(var, And((*parts, formula)) if parts else formula)
+    return formula
 
 
 # ---------------------------------------------------------------------------

@@ -114,15 +114,31 @@ def from_cycles(n: int, cycles: tuple[tuple[int, ...], ...] | list) -> Permutati
     images = list(range(1, n + 1))
     seen: set[int] = set()
     for cyc in cycles:
+        mine: set[int] = set()
         for k in cyc:
             if not 1 <= k <= n:
                 raise ValueError(f"cycle point {k} outside 1..{n}")
+            if k in mine:
+                raise ValueError(f"point {k} repeats inside one cycle")
             if k in seen:
                 raise ValueError(f"point {k} appears in two cycles")
-            seen.add(k)
+            mine.add(k)
+        seen |= mine
         for i, k in enumerate(cyc):
             images[k - 1] = cyc[(i + 1) % len(cyc)]
     return Permutation(tuple(images))
+
+
+def _points(body: str, text: str) -> tuple[int, ...]:
+    """The integers of ``body``, a comma- or space-separated list taken
+    from the permutation ``text`` that an error quotes."""
+    points = []
+    for tok in body.replace(",", " ").split():
+        try:
+            points.append(int(tok))
+        except ValueError:
+            raise ValueError(f"{tok!r} is not a point in {text!r}") from None
+    return tuple(points)
 
 
 def parse_permutation(text: str, n: int | None = None) -> Permutation:
@@ -138,8 +154,7 @@ def parse_permutation(text: str, n: int | None = None) -> Permutation:
         body = text[1:-1].strip()
         if not body:
             raise ValueError("empty image list")
-        images = tuple(int(tok) for tok in body.replace(",", " ").split())
-        p = Permutation(images)
+        p = Permutation(_points(body, text))
         if n is not None and p.n != n:
             raise ValueError(f"expected a permutation of 1..{n}, got 1..{p.n}")
         return p
@@ -155,8 +170,10 @@ def parse_permutation(text: str, n: int | None = None) -> Permutation:
             close = rest.find(")")
             if close < 0:
                 raise ValueError(f"unbalanced cycle form: {text!r}")
-            body = rest[1:close].replace(",", " ")
-            pts = tuple(int(tok) for tok in body.split())
+            body = rest[1:close]
+            if "(" in body:
+                raise ValueError(f"nested cycle form: {text!r}")
+            pts = _points(body, text)
             if pts:
                 cycles.append(pts)
             rest = rest[close + 1 :]
@@ -325,14 +342,6 @@ class CharacterTable:
     class_types: tuple[tuple[int, ...], ...]
     class_sizes: tuple[int, ...]
     values: tuple[tuple[int, ...], ...]  # values[i][j] = chi_{label i}(class j)
-
-    def value(self, shape: tuple[int, ...], cycle_type: tuple[int, ...]) -> int:
-        return self.values[self.irrep_labels.index(tuple(shape))][
-            self.class_types.index(tuple(cycle_type))
-        ]
-
-    def dimension(self, shape: tuple[int, ...]) -> int:
-        return self.value(shape, (1,) * self.n)
 
 
 def character_table(n: int) -> CharacterTable:

@@ -135,9 +135,7 @@ def superselect(sectors: SectorProjectors, w: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the two invariance notions for states
 
-def satisfies_sp(
-    sectors: SectorProjectors, w: np.ndarray, tol: float = EPS_ABS
-) -> bool:
+def satisfies_sp(sectors: SectorProjectors, w: np.ndarray) -> bool:
     """State permutation invariance: some convex decomposition of W into
     permutation-fixed ray projectors exists.
 
@@ -147,17 +145,12 @@ def satisfies_sp(
     paraparticle sector.
     """
     w = hilbert._as_square(sectors.config, w)
-    if float(np.max(np.abs(sectors.split(w)[2]))) > tol:
+    if float(np.max(np.abs(sectors.split(w)[2]))) > EPS_ABS:
         return False
-    return is_symmetric_operator(sectors.config, w, tol=tol)
+    return is_symmetric_operator(sectors.config, w)
 
 
-def satisfies_ip(
-    config: AssemblyConfig,
-    w: np.ndarray,
-    observables: list[np.ndarray],
-    tol: float = EPS_ABS,
-) -> bool:
+def satisfies_ip(config: AssemblyConfig, w: np.ndarray, observables: list[np.ndarray]) -> bool:
     """Invariance of the pairing: Tr(P(pi) W P(pi)^dagger Q) = Tr(W Q) for
     every pi and every supplied observable Q.
 
@@ -173,6 +166,6 @@ def satisfies_ip(
         t = hilbert.perm_operator(config, pi)
         moved = w[np.ix_(t, t)]  # P(pi)^-1 W P(pi); pi^-1 runs over S_n as pi does
         for q, pairing in zip(qs, pairings):
-            if abs(complex(np.sum(moved.T * q)) - pairing) > tol:
+            if abs(complex(np.sum(moved.T * q)) - pairing) > EPS_ABS:
                 return False
     return True

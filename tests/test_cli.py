@@ -617,8 +617,8 @@ def test_model_describe_golden(capsys, tmp_path):
     ]
     assert outputs == [
         "(and (rel R y) (not (rel R x1)) (!= y x1) (forall _y (or (= _y y) (= _y x1))))\n",
-        "(exists _x1 (exists x2 (and (rel R _x1) (not (rel R x2)) (!= _x1 x2) "
-        "(forall _y (or (= _y _x1) (= _y x2))))))\n",
+        "(exists _x1 (and (rel R _x1) (exists x2 (and (not (rel R x2)) (!= _x1 x2) "
+        "(forall _y (or (= _y _x1) (= _y x2)))))))\n",
     ]
 
 

@@ -401,7 +401,7 @@ def test_satisfies_agrees_with_the_tree_walker(m, f):
     assert verdict(md.satisfies, m, f) == verdict(satisfies_by_walking, m, f)
 
 
-# the shape the rewrite changes: exists...exists (and ...) and its dual
+# prenex sentences, walked as written: exists...exists (and ...) and its dual
 # forall...forall (or ...), whose parts mention some of the variables and
 # names; some parts are nested junctions or dual blocks, and in half of the
 # sentences an atom may raise (unknown relation, wrong arity, unbound symbol)
@@ -490,14 +490,49 @@ def test_structure_descriptions_on_two_names_agree_with_the_tree_walker():
 
 def test_structure_descriptions_are_rewritten_to_prune_after_each_variable():
     m = md.FiniteModel(("y", "x1"), {"R": md.Relation(1, frozenset({("y",)}))})
-    scoped, free, used = md._miniscope(md.structure_description(m))
-    assert md.format_formula(scoped) == (
+    assert md.format_formula(md.structure_description(m)) == (
         "(exists _x1 (and (rel R _x1) (exists x2 (and (not (rel R x2)) (!= _x1 x2) "
         "(forall _y (or (= _y _x1) (= _y x2)))))))"
     )
-    assert (free, used) == (frozenset(), frozenset({("R", 1)}))
-    # a state description moves nothing, and is walked as written
-    assert md._miniscope(md.state_description(m))[0] is None
+
+
+def _renamed(f, var):
+    """The formula with each term t written as var.get(t, t)."""
+    kind = type(f)
+    if kind is md.Rel:
+        return md.Rel(f.name, tuple(var.get(t, t) for t in f.args))
+    if kind is md.Eq or kind is md.Ne:
+        return kind(var.get(f.left, f.left), var.get(f.right, f.right))
+    if kind is md.Not:
+        return md.Not(_renamed(f.body, var))
+    if kind is md.And or kind is md.Or:
+        return kind(tuple(_renamed(part, var) for part in f.parts))
+    return kind(f.var, _renamed(f.body, var))
+
+
+def prenex_structure_description(m):
+    """exists v1 ... exists vn over the state description with each name
+    turned into a variable: the existential closure, unscoped."""
+    var = {a: f"v{i + 1}'" for i, a in enumerate(m.domain)}
+    body = _renamed(md.state_description(m), var)
+    for v in reversed(var.values()):
+        body = md.Exists(v, body)
+    return body
+
+
+def test_nested_structure_descriptions_are_the_existential_closure():
+    spaces = [
+        (space, space)
+        for space in (list(md.enumerate_models(ABC[:k], {"R": 2, "P": 1})) for k in (1, 2))
+    ]
+    three = list(md.enumerate_models(ABC, {"R": 2}))
+    spaces.append(({min(md.permute_class(m), key=md.model_to_json) for m in three}, three))
+    for targets, space in spaces:
+        for target in targets:
+            nested, prenex = md.structure_description(target), prenex_structure_description(target)
+            assert [md.satisfies(x, nested) for x in space] == [
+                satisfies_by_walking(x, prenex) for x in space
+            ]
 
 
 LAZY_AND_SHADOWED = {

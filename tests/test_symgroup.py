@@ -114,6 +114,11 @@ def test_text_forms():
         ("", None),
         ("[1,1]", None),
         ("(1 2", "unbalanced cycle form"),
+        ("[1,x]", "'x' is not a point"),
+        ("(1 x)", "'x' is not a point"),
+        ("((1 2)", "nested cycle form"),
+        ("(1 1)", "point 1 repeats inside one cycle"),
+        ("(1 2)(2 3)", "point 2 appears in two cycles"),
         ("[2,3,1] junk", None),
         ("nonsense", None),
     ):
@@ -176,8 +181,8 @@ def test_character_table_n2_and_n3_frozen():
     assert t3.irrep_labels == ((3,), (2, 1), (1, 1, 1))
     assert t3.class_types == ((1, 1, 1), (2, 1), (3,))
     assert t3.values == ((1, 1, 1), (2, 0, -1), (1, -1, 1))
-    assert t3.value((2, 1), (2, 1)) == 0
-    assert t3.dimension((2, 1)) == 2
+    assert sg.character((2, 1), (2, 1)) == 0
+    assert sg.irrep_dimension((2, 1)) == 2
 
 
 def test_character_against_fixed_point_count():
@@ -231,7 +236,7 @@ def test_character_orthogonality_and_dimension_sum():
                 inner = sum(table.values[i][k] * table.values[i][m] for i in range(rows))
                 want = order // table.class_sizes[k] if k == m else 0
                 assert inner == want
-        assert sum(table.dimension(lam) ** 2 for lam in table.irrep_labels) == order
+        assert sum(sg.irrep_dimension(lam) ** 2 for lam in table.irrep_labels) == order
 
 
 def test_schur_at_ones_is_the_tensor_power_multiplicity():
