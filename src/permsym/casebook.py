@@ -132,6 +132,8 @@ class BlochPoint:
 def bloch_point(xi: complex, eta: complex) -> BlochPoint:
     """Ratio coordinates of the ray of xi|HT> + eta|TH>."""
     xi, eta = complex(xi), complex(eta)
+    if not (np.isfinite(xi) and np.isfinite(eta)):
+        raise ValueError(f"amplitudes must be finite, got xi = {xi}, eta = {eta}")
     scale = math.hypot(abs(xi), abs(eta))
     if scale == 0.0:
         raise ValueError("xi and eta cannot both vanish")

@@ -243,9 +243,9 @@ def perm_operator(config: AssemblyConfig, perm: Permutation) -> np.ndarray:
 
 def real_expectation(value: complex, tol: float = EPS_ABS) -> float:
     """Collapse a should-be-real complex scalar, guarding the residue."""
-    if abs(value.imag) > tol:
+    if not (np.isfinite(value) and abs(value.imag) <= tol):
         raise NumericalIntegrityError(
-            f"imaginary residue {value.imag} exceeds tolerance {tol}"
+            f"{value} is not finite and real within tolerance {tol}"
         )
     return float(value.real)
 
@@ -256,6 +256,8 @@ def expectation(state: DensityOperator | np.ndarray, obs: Observable | np.ndarra
     q = obs.matrix if isinstance(obs, Observable) else np.asarray(obs)
     if w.shape != q.shape:
         raise ValueError(f"shape mismatch {w.shape} vs {q.shape}")
+    _check_finite(w)
+    _check_finite(q)
     return real_expectation(complex(np.sum(w.T * q)))
 
 

@@ -17,15 +17,16 @@ the content sums of the level-m rows of the patterns, then the central
 sum_k X_k^2 of the squared Jucys-Murphy elements X_k = sum_{j<k} P((j k)),
 which parts shapes of equal content sum such as (4,1,1) and (3,3).  Each
 final eigenspace is labelled and certified in one step: its traces on
-one representative per conjugacy class must equal a row of the character
-table, which on an invariant span gives <chi, chi> = 1, and its
-invariance residual must stay below EPS_ABS; a failure raises
-:class:`DecompositionError`.  Invariance is asked of the n-1 adjacent
-transpositions only: they generate S_n, and a residual r on them bounds
-that of any pi by l(pi) r, l(pi) <= C(n, 2) its length as a word in them.
-Both run on the ray's real vectors in its weight block, with index maps
-built once per block; :func:`invariance_residual` and
-:func:`compressed_commutant_dimension` run them on the whole space.
+one representative per conjugacy class must equal the characters
+symgroup.character of one shape, which on an invariant span gives
+<chi, chi> = 1, and its invariance residual (a Frobenius norm) must stay
+below EPS_ABS; a failure raises :class:`DecompositionError`.  Invariance
+is asked of the n-1 adjacent transpositions only: they generate S_n, and
+a residual r on them bounds that of any pi by l(pi) r, l(pi) <= C(n, 2)
+its length as a word in them.  Both run on the ray's real vectors in its
+weight block, with the transposition maps the split built for it;
+:func:`invariance_residual` and :func:`compressed_commutant_dimension`
+run them on the whole space.
 
 An isotypic component is the sum of its rays, counted against the
 hook-content formula s_lambda(1^d).  The sector family acts on the same
@@ -157,13 +158,13 @@ def _index_maps(config: AssemblyConfig, perms: list, index: np.ndarray) -> list[
 
 
 def _leak(vectors: np.ndarray, maps: list[np.ndarray]) -> float:
-    """Largest spectral norm of P v - v v^dagger P v over the index maps."""
+    """Largest Frobenius norm of P v - v v^dagger P v over the index maps."""
     worst = 0.0
     for t in maps:
         moved = np.empty_like(vectors)
         moved[t] = vectors
         leak = moved - vectors @ (vectors.conj().T @ moved)
-        worst = max(worst, float(np.linalg.norm(leak, 2)))
+        worst = max(worst, float(np.linalg.norm(leak)))
     return worst
 
 
@@ -173,8 +174,9 @@ def _traces(vectors: np.ndarray, maps: list[np.ndarray]) -> np.ndarray:
 
 
 def invariance_residual(config: AssemblyConfig, basis: np.ndarray) -> float:
-    """Largest spectral norm, over the adjacent transpositions s = (k k+1),
-    of the part of P(s) basis leaking out of span(basis).
+    """Largest Frobenius norm, over the adjacent transpositions s = (k k+1),
+    of the part of P(s) basis leaking out of span(basis).  It is at least
+    the spectral norm, the largest leak of a single unit vector.
 
     span(basis) is S_n-invariant exactly when it is invariant under these
     generators.  The leak (I - Q) P(pi) Q, Q the projector onto the span,
@@ -200,11 +202,12 @@ def compressed_commutant_dimension(config: AssemblyConfig, basis: np.ndarray) ->
     return round(float(np.array([c.size for c in classes]) @ np.abs(traces) ** 2) / math.factorial(config.n))
 
 
-def _block_operators(config: AssemblyConfig, index: np.ndarray) -> list[np.ndarray]:
-    """The refining operators of one weight block, as dense real matrices
-    on its words: T_2, ..., T_d, then sum_k X_k^2."""
+def _block_operators(config: AssemblyConfig, index: np.ndarray) -> tuple[dict, list[np.ndarray]]:
+    """The index maps of the transpositions (k l), keyed by 0-based slot
+    pair, on one weight block, and its refining operators as dense real
+    matrices on its words: T_2, ..., T_d, then sum_k X_k^2."""
     n, b = config.n, len(index)
-    letters = hilbert._letters(config)[:, index]
+    letters = np.unravel_index(index, (config.d,) * n)
     slot_pairs = list(itertools.combinations(range(n), 2))
     transpositions = [symgroup.from_cycles(n, [(k + 1, l + 1)]) for k, l in slot_pairs]
     swaps = dict(zip(slot_pairs, _index_maps(config, transpositions, index)))
@@ -219,7 +222,7 @@ def _block_operators(config: AssemblyConfig, index: np.ndarray) -> list[np.ndarr
     ops = [swap_sum(swaps, m) for m in range(2, config.d + 1)]
     jucys_murphy = [swap_sum([(j, k) for j in range(k)], config.d) for k in range(1, n)]
     ops.append(sum((x @ x for x in jucys_murphy), np.zeros((b, b))))
-    return ops
+    return swaps, ops
 
 
 def assembly_rays(config: AssemblyConfig) -> list[GeneralisedRay]:
@@ -229,16 +232,16 @@ def assembly_rays(config: AssemblyConfig) -> list[GeneralisedRay]:
     Raises :class:`DecompositionError` when a joint eigenspace of a weight
     block is not invariant or its character is not irreducible.
     """
-    table = symgroup.character_table(config.n)
-    characters = np.array(table.values)
-    representatives = [c.representative for c in symgroup.conjugacy_classes(config.n)]
-    generators = symgroup.adjacent_transpositions(config.n)
+    classes = symgroup.conjugacy_classes(config.n)  # refuses n > N_MAX before any p(n) work
+    shapes = symgroup.partitions(config.n)
+    characters = np.array([[symgroup.character(shape, c.cycle_type) for c in classes] for shape in shapes])
     rays: list[GeneralisedRay] = []
     for index in hilbert.weight_blocks(config):
-        class_maps = _index_maps(config, representatives, index)
-        generator_maps = _index_maps(config, generators, index)
+        class_maps = _index_maps(config, [c.representative for c in classes], index)
+        swaps, ops = _block_operators(config, index)
+        generator_maps = [swaps[k, k + 1] for k in range(config.n - 1)]
         spaces = [np.eye(len(index))]
-        for op in _block_operators(config, index):
+        for op in ops:
             finer = []
             for v in spaces:
                 eigvals, eigvecs = np.linalg.eigh(v.T @ op @ v)
@@ -252,10 +255,10 @@ def assembly_rays(config: AssemblyConfig) -> list[GeneralisedRay]:
             if error[row] > EPS_ABS or residual > EPS_ABS:
                 raise DecompositionError(
                     f"a {v.shape[1]}-dimensional eigenspace is no certified ray: character error "
-                    f"{error[row]:.3g} against {table.irrep_labels[row]}, invariance residual {residual:.3g}"
+                    f"{error[row]:.3g} against {shapes[row]}, invariance residual {residual:.3g}"
                 )
-            rays.append(GeneralisedRay(config, table.irrep_labels[row], index, v))
-    order = {shape: k for k, shape in enumerate(table.irrep_labels)}
+            rays.append(GeneralisedRay(config, shapes[row], index, v))
+    order = {shape: k for k, shape in enumerate(shapes)}
     return sorted(rays, key=lambda ray: order[ray.shape])
 
 

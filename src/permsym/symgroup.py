@@ -7,7 +7,7 @@ on that convention.  Character values are exact integers computed by the
 Murnaghan-Nakayama recursion, so no floating point enters until operators
 are built on a Hilbert space.
 
-Group enumeration and character tables are capped at ``N_MAX`` particles;
+Group enumeration and conjugacy classes are capped at ``N_MAX`` particles;
 beyond that the factorial blow-up is outside this library's scope.
 """
 
@@ -327,28 +327,3 @@ def schur_at_ones(shape: tuple[int, ...], d: int) -> int:
             num *= d + j - i
             den *= part - j + below
     return num // den
-
-
-@dataclass(frozen=True)
-class CharacterTable:
-    """Exact character table of S_n.
-
-    Rows are irreps labelled by partitions of n (descending lex order,
-    trivial [n] first); columns are conjugacy classes (identity first).
-    """
-
-    n: int
-    irrep_labels: tuple[tuple[int, ...], ...]
-    class_types: tuple[tuple[int, ...], ...]
-    class_sizes: tuple[int, ...]
-    values: tuple[tuple[int, ...], ...]  # values[i][j] = chi_{label i}(class j)
-
-
-def character_table(n: int) -> CharacterTable:
-    _check_n(n)
-    labels = tuple(partitions(n))
-    classes = conjugacy_classes(n)
-    types = tuple(c.cycle_type for c in classes)
-    sizes = tuple(c.size for c in classes)
-    values = tuple(tuple(character(lam, ct) for ct in types) for lam in labels)
-    return CharacterTable(n, labels, types, sizes, values)

@@ -100,6 +100,12 @@ def test_bloch_point_landmarks():
         cb.bloch_point(0.0, 0.0)
 
 
+def test_bloch_point_refuses_non_finite_amplitudes():
+    for xi, eta in ((math.nan, 1.0), (1.0, complex(0, math.nan)), (math.inf, 1.0), (1.0, -math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            cb.bloch_point(xi, eta)
+
+
 def test_bloch_point_is_scale_invariant():
     a = cb.bloch_point(2.0 + 1.0j, -0.5j)
     b = cb.bloch_point((2.0 + 1.0j) * (3.0 - 4.0j), -0.5j * (3.0 - 4.0j))

@@ -120,6 +120,16 @@ def test_assemblies_past_the_dense_budget_are_usage_errors(capsys, command, n, d
     assert "exceeds cap" in err
 
 
+@pytest.mark.parametrize("n", [sg.N_MAX + 1, 100])
+def test_decompose_past_n_max_is_refused_before_any_partition_work(capsys, n):
+    # p(100) is about 1.9e8: the refusal has to come before partitions(n)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, ["decompose", "--n", str(n), "--d", "1"])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert f"exceeds supported maximum {sg.N_MAX}" in err
+
+
 class Reached(Exception):
     """Raised in place of the decomposition, to see whether a guard let it start."""
 

@@ -218,12 +218,23 @@ def test_expectation_examples():
     assert hb.expectation(bose, q) == pytest.approx(1.0, abs=1e-14)
     with pytest.raises(ValueError):
         hb.expectation(w.matrix, np.eye(3))
+    for bad in (math.nan, math.inf, -math.inf, complex(0, math.nan)):
+        poisoned = q.matrix.astype(complex)
+        poisoned[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            hb.expectation(w.matrix, poisoned)
+        with pytest.raises(ValueError, match="non-finite"):
+            hb.expectation(poisoned, q.matrix)
 
 
 def test_real_expectation_guard():
     assert hb.real_expectation(1.0 + 1e-14j) == pytest.approx(1.0)
     with pytest.raises(hb.NumericalIntegrityError):
         hb.real_expectation(1.0 + 1e-5j)
+    # NaN fails every comparison, so a NaN residue must not pass as small
+    for bad in (complex(1, math.nan), complex(math.nan, 0), complex(math.inf, 0), complex(1, -math.inf)):
+        with pytest.raises(hb.NumericalIntegrityError):
+            hb.real_expectation(bad)
 
 
 def test_trace_cyclicity_of_pairing():

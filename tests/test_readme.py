@@ -1,23 +1,28 @@
-"""The README's worked example runs as written and prints what it promises."""
+"""The README's worked example and its command lines run as written and
+print what they promise."""
 
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
 
 
 def test_readme_worked_example_prints_what_its_comments_promise():
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    (block,) = re.findall(r"```python\n(.*?)```", README, re.S)
     proc = subprocess.run(
         [sys.executable, "-c", block],
         capture_output=True,
         text=True,
         timeout=120,
-        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        env=ENV,
     )
     assert proc.returncode == 0, proc.stderr
     ranks, label, residual, *rays = proc.stdout.splitlines()
@@ -27,3 +32,37 @@ def test_readme_worked_example_prints_what_its_comments_promise():
     # each line is "shape dim index"; the shape is a printed tuple
     dims = sorted(int(line.rpartition(")")[2].split()[0]) for line in rays)
     assert dims == [1, 1, 1, 1, 2, 2]
+
+
+def command_lines() -> list[tuple[str, str]]:
+    """(command, comment) of each line of the README's command block that
+    reads no input file."""
+    (block,) = [b for b in re.findall(r"```sh\n(.*?)```", README, re.S) if "permsym decompose" in b]
+    lines = [line.partition("#")[::2] for line in block.splitlines()]
+    return [(command.strip(), comment.strip()) for command, comment in lines if "--input" not in command]
+
+
+COMMANDS = command_lines()
+
+
+@pytest.mark.parametrize("command,comment", COMMANDS, ids=[command for command, _ in COMMANDS])
+def test_readme_command_runs(command, comment):
+    program, *argv = shlex.split(command)
+    assert program == "permsym"
+    proc = subprocess.run(
+        [sys.executable, "-m", "permsym.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=ENV,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
+    if argv[0] == "coins":
+        assert proc.stdout == comment + "\n"
+
+
+def test_readme_command_block_covers_every_subcommand_without_input():
+    ran = {shlex.split(command)[1] for command, _ in COMMANDS}
+    assert ran == {"decompose", "verify-identities", "coins", "bloch", "fig3", "toy-theories"}
+    assert len(COMMANDS) == 9

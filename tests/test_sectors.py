@@ -256,25 +256,34 @@ def test_an_unsplit_eigenspace_fails_its_certificate(monkeypatch):
     # it a 15-dimensional eigenspace of the block mu = (2, 2, 2) at 6x3
     cfg = hb.AssemblyConfig(6, 3)
     operators = sec._block_operators
-    monkeypatch.setattr(sec, "_block_operators", lambda config, index: operators(config, index)[:-1])
+
+    def without_the_last(config, index):
+        swaps, ops = operators(config, index)
+        return swaps, ops[:-1]
+
+    monkeypatch.setattr(sec, "_block_operators", without_the_last)
     with pytest.raises(sec.DecompositionError, match="15-dimensional"):
         sec.assembly_rays(cfg)
 
 
 @pytest.mark.parametrize("n,d", [(4, 3), (5, 3)])
 def test_certificates_are_built_per_block_not_per_ray(n, d, monkeypatch):
-    # per weight block: C(n, 2) transpositions for the split, p(n) class
-    # representatives and n-1 adjacent swaps for the certificates
+    # per weight block: C(n, 2) transpositions for the split, whose n-1
+    # adjacent swaps the leak reuses, and p(n) class representatives for
+    # the characters; the letters come once, for the weight blocks
     cfg = hb.AssemblyConfig(n, d)
-    maps, classes = [], []
-    perm_operator, conjugacy_classes = hb.perm_operator, sg.conjugacy_classes
+    maps, classes, letter_tables = [], [], []
+    perm_operator, conjugacy_classes, letters = hb.perm_operator, sg.conjugacy_classes, hb._letters
     monkeypatch.setattr(hb, "perm_operator", lambda config, perm: maps.append(perm) or perm_operator(config, perm))
     monkeypatch.setattr(sg, "conjugacy_classes", lambda k: classes.append(k) or conjugacy_classes(k))
+    monkeypatch.setattr(hb, "_letters", lambda config: letter_tables.append(config) or letters(config))
     rays = sec.assembly_rays(cfg)
+    monkeypatch.undo()
     blocks = len(hb.weight_blocks(cfg))
     assert len(rays) > blocks
-    assert len(maps) <= blocks * (math.comb(n, 2) + len(sg.partitions(n)) + n - 1)
+    assert len(maps) == blocks * (math.comb(n, 2) + len(sg.partitions(n)))
     assert len(classes) <= 2
+    assert letter_tables == [cfg]
 
 
 @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (2, 3), (3, 3)])
@@ -351,9 +360,24 @@ def test_rotated_subspace_fails_invariance_on_both_routes():
     outside = by_shape[(3,)].rays[0].basis[:, 0]
     rotated = ray.basis.copy()
     rotated[:, 0] = math.cos(0.3) * rotated[:, 0] + math.sin(0.3) * outside
+    # tilting the second column too gives leaks of rank 2, whose Frobenius
+    # and spectral norms differ
+    rotated[:, 1] = math.cos(0.5) * rotated[:, 1] + math.sin(0.5) * by_shape[(2, 1)].rays[1].basis[:, 1]
     assert np.max(np.abs(rotated.conj().T @ rotated - np.eye(2))) < 1e-12
     assert sec.invariance_residual(cfg, rotated) > hb.EPS_ABS
     assert full_group_invariance_residual(cfg, rotated) > hb.EPS_ABS
+    # the residual is the largest Frobenius norm of (I - B B^dagger) P B
+    # over the adjacent swaps, with P the dense 0/1 matrix, and so at
+    # least the largest spectral norm (0.940 against 0.792 here)
+    outside_span = np.eye(cfg.dim) - rotated @ rotated.conj().T
+    leaks = []
+    for s in sg.adjacent_transpositions(cfg.n):
+        p = np.zeros((cfg.dim, cfg.dim))
+        p[hb.perm_operator(cfg, s), np.arange(cfg.dim)] = 1.0
+        leaks.append(outside_span @ p @ rotated)
+    residual = sec.invariance_residual(cfg, rotated)
+    assert residual == pytest.approx(max(np.linalg.norm(leak, "fro") for leak in leaks), rel=1e-12)
+    assert residual >= max(np.linalg.norm(leak, 2) for leak in leaks)
 
 
 def test_projectors_never_cross_the_group(monkeypatch):

@@ -132,7 +132,7 @@ def test_enumeration_capability_guard():
     with pytest.raises(sg.CapabilityError):
         sg.all_permutations(sg.N_MAX + 1)
     with pytest.raises(sg.CapabilityError):
-        sg.character_table(sg.N_MAX + 1)
+        sg.conjugacy_classes(sg.N_MAX + 1)
     with pytest.raises(ValueError):
         sg.all_permutations(0)
 
@@ -171,16 +171,27 @@ def test_class_sizes_match_enumeration():
         assert sum(c.size for c in sg.conjugacy_classes(n)) == math.factorial(n)
 
 
-def test_character_table_n2_and_n3_frozen():
-    t2 = sg.character_table(2)
-    assert t2.irrep_labels == ((2,), (1, 1))
-    assert t2.class_types == ((1, 1), (2,))
-    assert t2.values == ((1, 1), (1, -1))
+def character_table(n):
+    """(irrep labels, class types, class sizes, values) of S_n: rows in
+    partitions order, columns in conjugacy_classes order, read from
+    sg.character as the ray split reads them."""
+    classes = sg.conjugacy_classes(n)
+    labels = tuple(sg.partitions(n))
+    types = tuple(c.cycle_type for c in classes)
+    values = tuple(tuple(sg.character(lam, ct) for ct in types) for lam in labels)
+    return labels, types, tuple(c.size for c in classes), values
 
-    t3 = sg.character_table(3)
-    assert t3.irrep_labels == ((3,), (2, 1), (1, 1, 1))
-    assert t3.class_types == ((1, 1, 1), (2, 1), (3,))
-    assert t3.values == ((1, 1, 1), (2, 0, -1), (1, -1, 1))
+
+def test_character_table_n2_and_n3_frozen():
+    labels, types, _, values = character_table(2)
+    assert labels == ((2,), (1, 1))
+    assert types == ((1, 1), (2,))
+    assert values == ((1, 1), (1, -1))
+
+    labels, types, _, values = character_table(3)
+    assert labels == ((3,), (2, 1), (1, 1, 1))
+    assert types == ((1, 1, 1), (2, 1), (3,))
+    assert values == ((1, 1, 1), (2, 0, -1), (1, -1, 1))
     assert sg.character((2, 1), (2, 1)) == 0
     assert sg.irrep_dimension((2, 1)) == 2
 
@@ -219,24 +230,21 @@ def test_trivial_and_sign_characters():
 
 def test_character_orthogonality_and_dimension_sum():
     for n in range(2, sg.N_MAX + 1):
-        table = sg.character_table(n)
+        labels, _, sizes, values = character_table(n)
         order = math.factorial(n)
-        rows = len(table.irrep_labels)
+        rows = len(labels)
         # first orthogonality relation, exact integers throughout
         for i in range(rows):
             for j in range(i, rows):
-                inner = sum(
-                    size * table.values[i][k] * table.values[j][k]
-                    for k, size in enumerate(table.class_sizes)
-                )
+                inner = sum(size * values[i][k] * values[j][k] for k, size in enumerate(sizes))
                 assert inner == (order if i == j else 0)
         # second orthogonality relation on columns
         for k in range(rows):
             for m in range(k, rows):
-                inner = sum(table.values[i][k] * table.values[i][m] for i in range(rows))
-                want = order // table.class_sizes[k] if k == m else 0
+                inner = sum(values[i][k] * values[i][m] for i in range(rows))
+                want = order // sizes[k] if k == m else 0
                 assert inner == want
-        assert sum(sg.irrep_dimension(lam) ** 2 for lam in table.irrep_labels) == order
+        assert sum(sg.irrep_dimension(lam) ** 2 for lam in labels) == order
 
 
 def test_schur_at_ones_is_the_tensor_power_multiplicity():
