@@ -134,6 +134,10 @@ def bloch_point(xi: complex, eta: complex) -> BlochPoint:
     xi, eta = complex(xi), complex(eta)
     if not (np.isfinite(xi) and np.isfinite(eta)):
         raise ValueError(f"amplitudes must be finite, got xi = {xi}, eta = {eta}")
+    if max(abs(xi.real), abs(xi.imag), abs(eta.real), abs(eta.imag)) > 2.0**1000:
+        # a ray does not change under scaling: bring amplitudes whose moduli
+        # could overflow down by an exact power of two
+        xi, eta = xi * 2.0**-600, eta * 2.0**-600
     scale = math.hypot(abs(xi), abs(eta))
     if scale == 0.0:
         raise ValueError("xi and eta cannot both vanish")

@@ -15,18 +15,17 @@ The list is the masked transposition sums
 
 the content sums of the level-m rows of the patterns, then the central
 sum_k X_k^2 of the squared Jucys-Murphy elements X_k = sum_{j<k} P((j k)),
-which parts shapes of equal content sum such as (4,1,1) and (3,3).  Each
-final eigenspace is labelled and certified in one step: its traces on
-one representative per conjugacy class must equal the characters
-symgroup.character of one shape, which on an invariant span gives
-<chi, chi> = 1, and its invariance residual (a Frobenius norm) must stay
-below EPS_ABS; a failure raises :class:`DecompositionError`.  Invariance
-is asked of the n-1 adjacent transpositions only: they generate S_n, and
-a residual r on them bounds that of any pi by l(pi) r, l(pi) <= C(n, 2)
-its length as a word in them.  Both run on the ray's real vectors in its
-weight block, with the transposition maps the split built for it;
-:func:`invariance_residual` and :func:`compressed_commutant_dimension`
-run them on the whole space.
+which parts shapes of equal content sum such as (4,1,1) and (3,3).  The
+last two, T_d (every transposition) and sum_k X_k^2, are central, and
+their eigenvalues label each final eigenspace with its shape;
+:func:`assembly_rays` gives the three checks that certify it as a ray.
+Invariance is asked of the n-1 adjacent transpositions only: they
+generate S_n, and a residual r on them bounds that of any pi by
+l(pi) r, l(pi) <= C(n, 2) its length as a word in them.  The leak runs
+on the ray's real vectors in its weight block, with the transposition
+maps the split built for it; :func:`invariance_residual` runs it on the
+whole space, and :func:`compressed_commutant_dimension` reads the
+character norm there from class traces.
 
 An isotypic component is the sum of its rays, counted against the
 hook-content formula s_lambda(1^d).  The sector family acts on the same
@@ -69,14 +68,15 @@ class SectorProjectors:
                 "sector family needs n >= 2 (for n = 1 the symmetric and "
                 "antisymmetric projectors coincide)"
             )
-        letters = hilbert._letters(config)
-        inversions = sum(letters[k] > letters[l] for k, l in itertools.combinations(range(n), 2))
-        sign = 1.0 - 2.0 * (inversions % 2)
         block = np.empty(config.dim, dtype=np.intp)
         for b, index in enumerate(hilbert.weight_blocks(config)):
             block[index] = b
-            if len(index) != math.factorial(n):  # multinomial(n; mu) = n! only for distinct letters
-                sign[index] = 0.0
+        # multinomial(n; mu) = n! only for blocks of distinct letters
+        distinct = np.flatnonzero(np.bincount(block)[block] == math.factorial(n))
+        letters = np.unravel_index(distinct, (config.d,) * n)
+        inversions = sum(letters[k] > letters[l] for k, l in itertools.combinations(range(n), 2))
+        sign = np.zeros(config.dim)
+        sign[distinct] = 1.0 - 2.0 * (inversions % 2)
         return cls(config, block, sign)
 
     def split(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -205,7 +205,9 @@ def compressed_commutant_dimension(config: AssemblyConfig, basis: np.ndarray) ->
 def _block_operators(config: AssemblyConfig, index: np.ndarray) -> tuple[dict, list[np.ndarray]]:
     """The index maps of the transpositions (k l), keyed by 0-based slot
     pair, on one weight block, and its refining operators as dense real
-    matrices on its words: T_2, ..., T_d, then sum_k X_k^2."""
+    matrices on its words: T_2, ..., T_{d-1}, then the two central
+    elements T_d (every transposition) and sum_k X_k^2.  The block's
+    letters are read from its own flat indices."""
     n, b = config.n, len(index)
     letters = np.unravel_index(index, (config.d,) * n)
     slot_pairs = list(itertools.combinations(range(n), 2))
@@ -219,7 +221,7 @@ def _block_operators(config: AssemblyConfig, index: np.ndarray) -> tuple[dict, l
             op[swaps[k, l][keep], keep] += 1.0
         return op
 
-    ops = [swap_sum(swaps, m) for m in range(2, config.d + 1)]
+    ops = [swap_sum(swaps, m) for m in [*range(2, config.d), config.d]]
     jucys_murphy = [swap_sum([(j, k) for j in range(k)], config.d) for k in range(1, n)]
     ops.append(sum((x @ x for x in jucys_murphy), np.zeros((b, b))))
     return swaps, ops
@@ -229,36 +231,41 @@ def assembly_rays(config: AssemblyConfig) -> list[GeneralisedRay]:
     """All generalised rays of the assembly, grouped by partition in the
     order of :func:`permsym.symgroup.partitions`, each certified in its block.
 
-    Raises :class:`DecompositionError` when a joint eigenspace of a weight
-    block is not invariant or its character is not irreducible.
+    Each final eigenspace v of a block carries the labels of the two
+    central refiners, T_d and sum_k X_k^2, which act on S^lambda as the
+    scalars sum of contents and sum of contents squared.  Its certificate
+    is three checks: the pair names a partition lambda in
+    :func:`permsym.symgroup.central_labels` (one-to-one for n <= 14, so
+    within ``N_MAX``), dim v is f^lambda by the hook-length formula, and
+    the leak of span(v) on the n-1 adjacent swaps is at most EPS_ABS.
+    An invariant span inside one joint eigenspace of central elements
+    lies in the lambda-isotypic component; with dimension f^lambda it is
+    one copy of S^lambda.  A failure raises :class:`DecompositionError`.
     """
-    classes = symgroup.conjugacy_classes(config.n)  # refuses n > N_MAX before any p(n) work
-    shapes = symgroup.partitions(config.n)
-    characters = np.array([[symgroup.character(shape, c.cycle_type) for c in classes] for shape in shapes])
+    shapes = symgroup.central_labels(config.n)  # refuses n > N_MAX before any p(n) work
     rays: list[GeneralisedRay] = []
     for index in hilbert.weight_blocks(config):
-        class_maps = _index_maps(config, [c.representative for c in classes], index)
         swaps, ops = _block_operators(config, index)
         generator_maps = [swaps[k, k + 1] for k in range(config.n - 1)]
-        spaces = [np.eye(len(index))]
+        spaces = [((), np.eye(len(index)))]
         for op in ops:
             finer = []
-            for v in spaces:
+            for labels, v in spaces:
                 eigvals, eigvecs = np.linalg.eigh(v.T @ op @ v)
-                labels = np.rint(eigvals)
-                finer += [v @ eigvecs[:, labels == label] for label in np.unique(labels)]
+                rounded = np.rint(eigvals)
+                finer += [(labels + (int(r),), v @ eigvecs[:, rounded == r]) for r in np.unique(rounded)]
             spaces = finer
-        for v in spaces:
-            error = np.abs(characters - _traces(v, class_maps)).max(axis=1)
-            row = int(np.argmin(error))
+        for labels, v in spaces:
+            shape = shapes.get(labels[-2:])
+            want = symgroup.irrep_dimension(shape) if shape else None
             residual = _leak(v, generator_maps)
-            if error[row] > EPS_ABS or residual > EPS_ABS:
+            if v.shape[1] != want or residual > EPS_ABS:
                 raise DecompositionError(
-                    f"a {v.shape[1]}-dimensional eigenspace is no certified ray: character error "
-                    f"{error[row]:.3g} against {shapes[row]}, invariance residual {residual:.3g}"
+                    f"a {v.shape[1]}-dimensional eigenspace is no certified ray: its central labels "
+                    f"{labels[-2:]} name {shape} of dimension {want}, invariance residual {residual:.3g}"
                 )
-            rays.append(GeneralisedRay(config, shapes[row], index, v))
-    order = {shape: k for k, shape in enumerate(shapes)}
+            rays.append(GeneralisedRay(config, shape, index, v))
+    order = {shape: k for k, shape in enumerate(shapes.values())}
     return sorted(rays, key=lambda ray: order[ray.shape])
 
 

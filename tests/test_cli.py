@@ -401,6 +401,17 @@ def test_bloch_negative_real_part_needs_equals_form(capsys):
     assert json.loads(out)["z"] == pytest.approx([z.real, z.imag], abs=1e-15)
 
 
+def test_bloch_amplitudes_near_the_float_limit_print_their_ray(capsys):
+    # |1.5e308 (1 + i)| overflows a float; the ray is that of the same
+    # amplitudes times 2**-600, and prints the same bytes
+    xi, eta = complex(1.5e308, 1.5e308), complex(1.5e308, -1e308)
+    code, out, err = run_cli(capsys, ["bloch", f"--xi={xi.real!r}+{xi.imag!r}i", f"--eta={eta.real!r}{eta.imag!r}i"])
+    assert (code, err) == (0, "")
+    xi, eta = xi * 2.0**-600, eta * 2.0**-600
+    scaled = run_cli(capsys, ["bloch", f"--xi={xi.real!r}+{xi.imag!r}i", f"--eta={eta.real!r}{eta.imag!r}i"])
+    assert scaled == (0, out, "")
+
+
 def test_bloch_sweep_past_its_row_budget_is_usage_error(capsys):
     from permsym import casebook
 

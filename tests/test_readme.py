@@ -1,6 +1,7 @@
 """The README's worked example and its command lines run as written and
-print what they promise."""
+print what they promise, and the names its prose gives exist."""
 
+import importlib
 import os
 import re
 import shlex
@@ -66,3 +67,17 @@ def test_readme_command_block_covers_every_subcommand_without_input():
     ran = {shlex.split(command)[1] for command, _ in COMMANDS}
     assert ran == {"decompose", "verify-identities", "coins", "bloch", "fig3", "toy-theories"}
     assert len(COMMANDS) == 9
+
+
+MODULES = ("casebook", "cli", "hilbert", "models", "sectors", "symgroup", "symmetriser")
+
+
+def test_readme_names_only_what_the_package_has():
+    # every `module.name` in the prose, for the package's own modules,
+    # resolves; fenced blocks run as written in the tests above
+    prose = re.sub(r"```.*?```", "", README, flags=re.S)
+    pattern = re.compile(rf"(?<![\w.])({'|'.join(MODULES)})\.(\w+)")
+    named = {m.groups() for span in re.findall(r"`([^`]+)`", prose) for m in pattern.finditer(span)}
+    assert named
+    missing = [f"{module}.{name}" for module, name in sorted(named) if not hasattr(importlib.import_module(f"permsym.{module}"), name)]
+    assert missing == []

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from characters import character
 from permsym import hilbert as hb
 from permsym import sectors as sec
 from permsym import symgroup as sg
@@ -98,14 +99,14 @@ def class_sum_projector(cfg, shape):
     acc = np.zeros((cfg.dim, cfg.dim))
     cols = np.arange(cfg.dim)
     for pi in sg.all_permutations(cfg.n):
-        acc[hb.perm_operator(cfg, pi), cols] += sg.character(shape, pi.cycle_type())
+        acc[hb.perm_operator(cfg, pi), cols] += character(shape, pi.cycle_type())
     return acc * sg.irrep_dimension(shape) / math.factorial(cfg.n)
 
 
 def tensor_power_multiplicity(shape, d):
     """Multiplicity of chi_lambda in the character pi -> d**cycles(pi) of (C^d)^{x n}."""
     n = sum(shape)
-    total = sum(c.size * sg.character(shape, c.cycle_type) * d ** len(c.cycle_type) for c in sg.conjugacy_classes(n))
+    total = sum(c.size * character(shape, c.cycle_type) * d ** len(c.cycle_type) for c in sg.conjugacy_classes(n))
     assert total % math.factorial(n) == 0
     return total // math.factorial(n)
 
@@ -252,25 +253,31 @@ def test_ray_counts_of_the_larger_assemblies(n, d, count):
 
 
 def test_an_unsplit_eigenspace_fails_its_certificate(monkeypatch):
-    # without sum_k X_k^2, (4,1,1) and (3,3) share content sum 3 and with
-    # it a 15-dimensional eigenspace of the block mu = (2, 2, 2) at 6x3
+    # in the block mu = (2, 2, 2) of 6x3, (4,1,1) and (3,3) share the
+    # content sum 3, and their content square sums are 19 and 7; adding
+    # 12 E_(3,3) to sum_k X_k^2 gives both the labels (3, 19), which name
+    # (4,1,1), on one invariant 15-dimensional eigenspace, 10 + 5 wide
     cfg = hb.AssemblyConfig(6, 3)
+    (index,) = [b for b in hb.weight_blocks(cfg) if len(b) == math.factorial(6) // 8]
+    lift = 12 * class_sum_projector(cfg, (3, 3))[np.ix_(index, index)]
     operators = sec._block_operators
 
-    def without_the_last(config, index):
-        swaps, ops = operators(config, index)
-        return swaps, ops[:-1]
+    def with_the_lift(config, block):
+        swaps, ops = operators(config, block)
+        return swaps, ops[:-1] + [ops[-1] + lift]
 
-    monkeypatch.setattr(sec, "_block_operators", without_the_last)
-    with pytest.raises(sec.DecompositionError, match="15-dimensional"):
+    monkeypatch.setattr(hb, "weight_blocks", lambda config: [index])
+    monkeypatch.setattr(sec, "_block_operators", with_the_lift)
+    with pytest.raises(sec.DecompositionError, match=r"15-dimensional .* \(3, 19\) name \(4, 1, 1\) of dimension 10"):
         sec.assembly_rays(cfg)
 
 
 @pytest.mark.parametrize("n,d", [(4, 3), (5, 3)])
 def test_certificates_are_built_per_block_not_per_ray(n, d, monkeypatch):
     # per weight block: C(n, 2) transpositions for the split, whose n-1
-    # adjacent swaps the leak reuses, and p(n) class representatives for
-    # the characters; the letters come once, for the weight blocks
+    # adjacent swaps the leak reuses; the shapes come from the central
+    # labels, with no class representative; the split and the sector
+    # family each build the letters once, for the weight blocks
     cfg = hb.AssemblyConfig(n, d)
     maps, classes, letter_tables = [], [], []
     perm_operator, conjugacy_classes, letters = hb.perm_operator, sg.conjugacy_classes, hb._letters
@@ -278,12 +285,14 @@ def test_certificates_are_built_per_block_not_per_ray(n, d, monkeypatch):
     monkeypatch.setattr(sg, "conjugacy_classes", lambda k: classes.append(k) or conjugacy_classes(k))
     monkeypatch.setattr(hb, "_letters", lambda config: letter_tables.append(config) or letters(config))
     rays = sec.assembly_rays(cfg)
+    assert letter_tables == [cfg]
+    sec.SectorProjectors.build(cfg)
     monkeypatch.undo()
     blocks = len(hb.weight_blocks(cfg))
     assert len(rays) > blocks
-    assert len(maps) == blocks * (math.comb(n, 2) + len(sg.partitions(n)))
-    assert len(classes) <= 2
-    assert letter_tables == [cfg]
+    assert len(maps) == blocks * math.comb(n, 2)
+    assert classes == []
+    assert letter_tables == [cfg, cfg]
 
 
 @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (2, 3), (3, 3)])

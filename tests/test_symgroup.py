@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from characters import character
 from permsym import symgroup as sg
 
 
@@ -133,6 +134,8 @@ def test_enumeration_capability_guard():
         sg.all_permutations(sg.N_MAX + 1)
     with pytest.raises(sg.CapabilityError):
         sg.conjugacy_classes(sg.N_MAX + 1)
+    with pytest.raises(sg.CapabilityError):
+        sg.central_labels(sg.N_MAX + 1)
     with pytest.raises(ValueError):
         sg.all_permutations(0)
 
@@ -173,12 +176,12 @@ def test_class_sizes_match_enumeration():
 
 def character_table(n):
     """(irrep labels, class types, class sizes, values) of S_n: rows in
-    partitions order, columns in conjugacy_classes order, read from
-    sg.character as the ray split reads them."""
+    partitions order, columns in conjugacy_classes order, read from the
+    Murnaghan-Nakayama oracle."""
     classes = sg.conjugacy_classes(n)
     labels = tuple(sg.partitions(n))
     types = tuple(c.cycle_type for c in classes)
-    values = tuple(tuple(sg.character(lam, ct) for ct in types) for lam in labels)
+    values = tuple(tuple(character(lam, ct) for ct in types) for lam in labels)
     return labels, types, tuple(c.size for c in classes), values
 
 
@@ -192,7 +195,7 @@ def test_character_table_n2_and_n3_frozen():
     assert labels == ((3,), (2, 1), (1, 1, 1))
     assert types == ((1, 1, 1), (2, 1), (3,))
     assert values == ((1, 1, 1), (2, 0, -1), (1, -1, 1))
-    assert sg.character((2, 1), (2, 1)) == 0
+    assert character((2, 1), (2, 1)) == 0
     assert sg.irrep_dimension((2, 1)) == 2
 
 
@@ -202,7 +205,7 @@ def test_character_against_fixed_point_count():
     for n in range(2, sg.N_MAX + 1):
         for cls in sg.conjugacy_classes(n):
             fixed = cls.cycle_type.count(1)
-            assert sg.character((n - 1, 1), cls.cycle_type) == fixed - 1
+            assert character((n - 1, 1), cls.cycle_type) == fixed - 1
 
 
 def _conjugate_partition(shape):
@@ -216,16 +219,16 @@ def test_character_conjugate_partition_sign_twist():
         for lam in sg.partitions(n):
             for cls in sg.conjugacy_classes(n):
                 sign = cls.representative.parity()
-                assert sg.character(_conjugate_partition(lam), cls.cycle_type) == (
-                    sign * sg.character(lam, cls.cycle_type)
+                assert character(_conjugate_partition(lam), cls.cycle_type) == (
+                    sign * character(lam, cls.cycle_type)
                 )
 
 
 def test_trivial_and_sign_characters():
     for n in range(2, sg.N_MAX + 1):
         for cls in sg.conjugacy_classes(n):
-            assert sg.character((n,), cls.cycle_type) == 1
-            assert sg.character((1,) * n, cls.cycle_type) == cls.representative.parity()
+            assert character((n,), cls.cycle_type) == 1
+            assert character((1,) * n, cls.cycle_type) == cls.representative.parity()
 
 
 def test_character_orthogonality_and_dimension_sum():
@@ -247,6 +250,34 @@ def test_character_orthogonality_and_dimension_sum():
         assert sum(sg.irrep_dimension(lam) ** 2 for lam in labels) == order
 
 
+def test_hook_length_dimension_is_the_character_at_the_identity():
+    for n in range(1, sg.N_MAX + 1):
+        for shape in sg.partitions(n):
+            assert sg.irrep_dimension(shape) == character(shape, (1,) * n)
+
+
+def content_pair(shape):
+    contents = [content for content, _ in sg.boxes(shape)]
+    return sum(contents), sum(c * c for c in contents)
+
+
+def test_central_labels_name_every_shape_up_to_fourteen_points():
+    # (sum of contents, sum of squares) is one-to-one on the partitions of
+    # n <= 14; at n = 15 three pairs of shapes collide, the first of them
+    # in partitions order (7,4,2,2) and (6,6,1,1,1)
+    for n in range(1, 15):
+        pairs = [content_pair(shape) for shape in sg.partitions(n)]
+        assert len(set(pairs)) == len(pairs)
+        if n <= sg.N_MAX:
+            assert sg.central_labels(n) == dict(zip(pairs, sg.partitions(n)))
+    by_pair = {}
+    for shape in sg.partitions(15):
+        by_pair.setdefault(content_pair(shape), []).append(shape)
+    collisions = [shapes for shapes in by_pair.values() if len(shapes) > 1]
+    assert len(collisions) == 3 and collisions[0] == [(7, 4, 2, 2), (6, 6, 1, 1, 1)]
+    assert content_pair((3, 3)) == (3, 7) and content_pair((4, 1, 1)) == (3, 19)
+
+
 def test_schur_at_ones_is_the_tensor_power_multiplicity():
     # hook-content formula against <chi_lambda, d**cycles>, the multiplicity
     # of lambda in (C^d)^{x n}
@@ -254,7 +285,7 @@ def test_schur_at_ones_is_the_tensor_power_multiplicity():
         classes = sg.conjugacy_classes(n)
         for shape in sg.partitions(n):
             for d in range(1, 5):
-                total = sum(c.size * sg.character(shape, c.cycle_type) * d ** len(c.cycle_type) for c in classes)
+                total = sum(c.size * character(shape, c.cycle_type) * d ** len(c.cycle_type) for c in classes)
                 assert sg.schur_at_ones(shape, d) * math.factorial(n) == total
     assert sg.schur_at_ones((2, 1), 2) == 2
     assert sg.schur_at_ones((1, 1, 1), 2) == 0
@@ -262,6 +293,6 @@ def test_schur_at_ones_is_the_tensor_power_multiplicity():
 
 def test_character_input_validation():
     with pytest.raises(ValueError):
-        sg.character((2, 1), (2,))  # different n
+        character((2, 1), (2,))  # different n
     with pytest.raises(ValueError):
-        sg.character((1, 2), (2, 1))  # not sorted descending
+        character((1, 2), (2, 1))  # not sorted descending
