@@ -358,7 +358,7 @@ def fig3_analysis(seed: int = 0, tol: float = EPS_ABS) -> Fig3Report:
 
     # the subspace has no fermionic admixture (Pauli: two letters, three slots)
     fam = sectors.SectorProjectors.build(config)
-    no_fermion = float(np.max(np.abs(fam.split(span)[1])))
+    no_fermion = float(np.max(np.abs(fam.antisymmetric(span))))
 
     return Fig3Report(
         seed=seed,

@@ -21,6 +21,7 @@ test for commuting with every P(pi) live in :mod:`permsym.symmetriser`.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -293,27 +294,39 @@ def random_state(config: AssemblyConfig, rng: np.random.Generator) -> np.ndarray
 # Floats serialise via repr (shortest round-trip decimal), so
 # serialise -> parse -> serialise is byte-identical.
 
-def _pairs(x: np.ndarray) -> list[list[float]]:
-    """[[re, im], ...] of a flat complex array, as Python floats."""
-    return np.stack([x.real, x.imag], -1).tolist()
+# Entries formatted together by _json_pairs; bounds the words alive at once.
+JSON_CHUNK = 2**14
 
 
-def matrix_obj(m: np.ndarray) -> dict:
+def _json_pairs(x: np.ndarray) -> list[str]:
+    """The text json.dumps(..., allow_nan=False) writes for the row-major
+    [[re, im], ...] list of a complex array, in pieces for one join.
+
+    Within each chunk, each distinct entry, found by its bit pattern so
+    that -0.0 and 0.0 stay apart, is written once, with repr as json.dumps
+    writes floats, and the chunk is joined from those words.
+    """
+    flat = np.ascontiguousarray(x, dtype=complex).reshape(-1)
+    pieces = ["["]
+    for start in range(0, flat.size, JSON_CHUNK):
+        distinct, inverse = np.unique(flat[start : start + JSON_CHUNK].view("V16"), return_inverse=True)
+        values = distinct.view(np.float64).reshape(-1, 2)
+        if not np.isfinite(values).all():
+            raise ValueError("Out of range float values are not JSON compliant")
+        words = np.array([f"[{re!r}, {im!r}]" for re, im in values.tolist()], dtype=object)
+        if start:
+            pieces.append(", ")
+        pieces.append(", ".join(words[inverse].tolist()))
+    pieces.append("]")
+    return pieces
+
+
+def matrix_to_json(m: np.ndarray) -> str:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim {m.ndim}")
     rows, cols = m.shape
-    return {"rows": rows, "cols": cols, "data": _pairs(m.reshape(-1))}
-
-
-def matrix_to_json(m: np.ndarray) -> str:
-    return json.dumps(matrix_obj(m), allow_nan=False)
-
-
-def _number(x) -> float:
-    if type(x) not in (int, float):  # JSON true and false are not numbers
-        raise TypeError(f"{x!r} is not a number")
-    return float(x)
+    return "".join([f'{{"rows": {rows}, "cols": {cols}, "data": ', *_json_pairs(m), "}"])
 
 
 def _integer(x) -> int:
@@ -323,11 +336,24 @@ def _integer(x) -> int:
 
 
 def _entries_from_json(data) -> np.ndarray:
-    """[[re, im], ...] as a complex array of finite entries."""
+    """[[re, im], ...] as a complex array of finite entries.
+
+    The checks run over whole lists in C: a list of 2-item lists of JSON
+    numbers (int or float by type(), so true and false are refused).
+    """
+    numbers = itertools.chain.from_iterable
+    if (
+        type(data) is not list
+        or set(map(type, data)) - {list}
+        or set(map(len, data)) - {2}
+        or set(map(type, numbers(data))) - {int, float}
+    ):
+        raise ValueError("entries must be [re, im] pairs of numbers")
     try:
-        flat = np.array([complex(_number(re), _number(im)) for re, im in data], dtype=complex)
-    except (TypeError, ValueError, OverflowError) as exc:
+        parts = np.fromiter(numbers(data), dtype=float, count=2 * len(data))
+    except OverflowError as exc:  # an integer past the float range
         raise ValueError(f"entries must be [re, im] pairs of numbers: {exc}") from exc
+    flat = parts.view(complex)
     _check_finite(flat)
     return flat
 
@@ -344,15 +370,11 @@ def matrix_from_json(text: str) -> np.ndarray:
     return flat.reshape(rows, cols)
 
 
-def vector_obj(v: np.ndarray) -> dict:
+def vector_to_json(v: np.ndarray) -> str:
     v = np.asarray(v, dtype=complex)
     if v.ndim != 1:
         raise ValueError(f"expected a vector, got ndim {v.ndim}")
-    return {"length": v.shape[0], "data": _pairs(v)}
-
-
-def vector_to_json(v: np.ndarray) -> str:
-    return json.dumps(vector_obj(v), allow_nan=False)
+    return "".join([f'{{"length": {v.shape[0]}, "data": ', *_json_pairs(v), "}"])
 
 
 def vector_from_json(text: str) -> np.ndarray:

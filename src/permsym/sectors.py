@@ -83,16 +83,25 @@ class SectorProjectors:
         """(E_S x, E_A x, E_P x) of a vector, or of each column of a matrix:
         the block mean, the sign-weighted block mean, and the remainder."""
         x = np.asarray(x, dtype=complex)
-        column = (-1,) + (1,) * (x.ndim - 1)  # a per-word array broadcast over columns
-        counts, sign = np.bincount(self.block), self.sign.reshape(column)
-        order, starts = np.argsort(self.block, kind="stable"), np.cumsum(counts) - counts
-
-        def block_mean(y: np.ndarray) -> np.ndarray:
-            return (np.add.reduceat(y[order], starts) / counts.reshape(column))[self.block]
-
-        e_s = block_mean(x)
-        e_a = sign * block_mean(sign * x)
+        e_s, e_a = self.symmetric(x), self.antisymmetric(x)
         return e_s, e_a, x - e_s - e_a
+
+    def symmetric(self, x: np.ndarray) -> np.ndarray:
+        """E_S x: the block mean of a vector, or of each column of a matrix."""
+        return self._block_mean(np.asarray(x, dtype=complex))
+
+    def antisymmetric(self, x: np.ndarray) -> np.ndarray:
+        """E_A x = s mean(s x), s the sign of each word."""
+        x = np.asarray(x, dtype=complex)
+        sign = self.sign.reshape((-1,) + (1,) * (x.ndim - 1))
+        return sign * self._block_mean(sign * x)
+
+    def _block_mean(self, y: np.ndarray) -> np.ndarray:
+        """Mean of y over each weight block, per column, at every index of the block."""
+        column = (-1,) + (1,) * (y.ndim - 1)  # a per-word array broadcast over columns
+        counts = np.bincount(self.block)
+        order, starts = np.argsort(self.block, kind="stable"), np.cumsum(counts) - counts
+        return (np.add.reduceat(y[order], starts) / counts.reshape(column))[self.block]
 
     def ranks(self) -> tuple[int, int, int]:
         """One symmetric state per block, one antisymmetric per block of n distinct letters."""

@@ -126,10 +126,26 @@ def superselect(sectors: SectorProjectors, w: np.ndarray) -> np.ndarray:
     is unchanged, so statistics cannot reveal whether the pinch happened
     (no signalling through superselection).  The family is a partition of
     identity by construction and each E is real symmetric, so E W E is
-    computed as (E (E W)^T)^T through ``split``, with no D x D projector.
+    computed as (E (E W)^T)^T, each pass computing only the part it keeps,
+    with no D x D projector.  The terms are summed from 0 in the order
+    S, A, P, and each is dropped once added.
     """
     w = hilbert._as_square(sectors.config, w)
-    return sum(sectors.split(ew.T)[k] for k, ew in enumerate(sectors.split(w))).T
+    s_w, a_w = sectors.symmetric(w), sectors.antisymmetric(w)
+    p_w = w - s_w
+    p_w -= a_w
+    out = sectors.symmetric(s_w.T)
+    out += 0  # the sum starts from 0, so no -0.0 is written
+    del s_w
+    out += sectors.antisymmetric(a_w.T)
+    del a_w
+    y = p_w.T  # E_P y = y - E_S y - E_A y, built in the array of E_S y
+    e_a = sectors.antisymmetric(y)
+    p_y = sectors.symmetric(y)
+    np.subtract(y, p_y, out=p_y)
+    p_y -= e_a
+    out += p_y
+    return out.T
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,8 @@ from permsym import sectors as sec
 from permsym import symgroup as sg
 from permsym import symmetriser as sym
 
+from dense_json import decompose_report, matrix_obj, vector_obj
+
 
 def run_cli(capsys, argv):
     code = cli.run(argv)
@@ -162,10 +164,10 @@ def test_decompose_human_output(capsys):
 
 
 def test_decompose_text_report_builds_no_vectors(capsys, monkeypatch):
-    def refuse(v):
-        raise AssertionError("the text report built a ray vector")
+    def refuse(x):
+        raise AssertionError("the text report wrote a ray vector")
 
-    monkeypatch.setattr(hb, "vector_obj", refuse)
+    monkeypatch.setattr(hb, "_json_pairs", refuse)
     code, out, _ = run_cli(capsys, ["decompose", "--n", "4", "--d", "3"])
     assert code == 0
     assert out.splitlines()[:4] == [
@@ -174,6 +176,14 @@ def test_decompose_text_report_builds_no_vectors(capsys, monkeypatch):
         "  antisymmetric 0",
         "  para          66",
     ]
+
+
+@pytest.mark.parametrize("n,d", [(3, 3), (4, 3)])
+def test_decompose_json_is_the_dense_report(capsys, n, d):
+    # the prewritten ray vectors sit in the report as json.dumps would write them
+    code, out, _ = run_cli(capsys, ["decompose", "--n", str(n), "--d", str(d), "--json"])
+    assert code == 0
+    assert out == json.dumps(decompose_report(n, d), allow_nan=False) + "\n"
 
 
 def test_decompose_is_byte_deterministic(capsys):
@@ -320,9 +330,9 @@ def test_classify_wrong_length_is_usage_error(capsys, tmp_path):
 @pytest.mark.parametrize(
     "command,payload",
     [
-        ("classify", hb.vector_obj(np.full(4, np.nan))),
-        ("symmetrise", hb.matrix_obj(np.full((4, 4), np.nan))),
-        ("superselect", hb.matrix_obj(np.full((4, 4), np.nan))),
+        ("classify", vector_obj(np.full(4, np.nan))),
+        ("symmetrise", matrix_obj(np.full((4, 4), np.nan))),
+        ("superselect", matrix_obj(np.full((4, 4), np.nan))),
     ],
 )
 def test_non_finite_input_is_usage_error(capsys, monkeypatch, command, payload):

@@ -12,6 +12,8 @@ from permsym import hilbert as hb
 from permsym import symgroup as sg
 from permsym import symmetriser as sym
 
+from dense_json import matrix_obj, vector_obj
+
 H = np.array([1.0, 0.0])
 T = np.array([0.0, 1.0])
 
@@ -327,22 +329,53 @@ def test_vector_json_roundtrip_bit_exact():
     assert np.array_equal(again, v.astype(complex))
 
 
+# signed zeros, subnormals, the float range's ends and a float past 2**53
+EXTREMES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1e16, -1e16, 1 / 3, 1.0]
+
+
+def assert_writers_match_the_per_entry_form(m):
+    """Text of a matrix, and of its entries as a vector, against json.dumps
+    of one float pair per entry."""
+    v = m.reshape(-1)
+    assert hb.vector_to_json(v) == json.dumps(vector_obj(v), allow_nan=False)
+    assert hb.matrix_to_json(m) == json.dumps(matrix_obj(m), allow_nan=False)
+
+
 def test_json_writers_match_the_per_entry_form():
-    # one np.stack(...).tolist() writes the same bytes as the per-entry
-    # float() comprehension it replaced, extreme and signed-zero values too
+    # the writers format each distinct entry once, by bit pattern, and
+    # write the same bytes as json.dumps over one float() pair per entry
     rng = hb.rng_for(2024)
     values = np.concatenate(
-        [
-            [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 2.2250738585072014e-308, 1 / 3],
-            rng.normal(size=100_000) * 10.0 ** rng.integers(-300, 300, size=100_000),
-        ]
+        [EXTREMES, rng.normal(size=100_000) * 10.0 ** rng.integers(-300, 300, size=100_000)]
     )
-    z = values + 1j * values[::-1]
-    m = z.reshape(-1, 4)
-    assert json.dumps(hb.vector_obj(z)["data"]) == json.dumps([[float(x.real), float(x.imag)] for x in z])
-    assert json.dumps(hb.matrix_obj(m)["data"]) == json.dumps(
-        [[float(x.real), float(x.imag)] for x in m.reshape(-1)]
-    )
+    distinct = (values + 1j * values[::-1]).reshape(-1, 3)
+    size = 3 * hb.JSON_CHUNK + 6  # repeats across and within chunks
+    repeated = (rng.choice(EXTREMES, size=size) + 1j * rng.choice(EXTREMES, size=size)).reshape(-1, 6)
+    signed_zeros = np.array([[0.0, -0.0], [complex(-0.0, 0.0), complex(0.0, -0.0)]])
+    for x in (distinct, repeated, signed_zeros, np.zeros((0, 3)), np.full((2, 2), 1e16 + 1e16j)):
+        assert_writers_match_the_per_entry_form(x)
+    assert hb.vector_to_json(np.zeros(0)) == '{"length": 0, "data": []}'
+    assert hb.matrix_to_json(np.zeros((2, 0))) == '{"rows": 2, "cols": 0, "data": []}'
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def repeating_arrays(draw):
+    """A complex array of at most 40 entries drawn from a few values."""
+    pool = draw(st.lists(st.builds(complex, FINITE, FINITE), min_size=1, max_size=5))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=40))
+    cols = draw(st.integers(1, 4))
+    x = np.array([pool[i] for i in picks], dtype=complex)
+    return x[: x.size // cols * cols].reshape(-1, cols)
+
+
+@given(repeating_arrays(), st.integers(1, 8))
+def test_json_writers_match_the_per_entry_form_on_drawn_arrays(x, chunk):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hb, "JSON_CHUNK", chunk)  # entries split across several chunks
+        assert_writers_match_the_per_entry_form(x)
 
 
 @pytest.mark.parametrize("n,d", [(1, 3), (3, 2), (3, 3), (4, 3), (5, 2)])
@@ -379,6 +412,27 @@ def test_json_error_paths():
         hb.vector_from_json('{"length": 2, "data": [1, [0, 1]]}')
     with pytest.raises(ValueError):  # entries that are not numbers
         hb.matrix_from_json('{"rows": 1, "cols": 1, "data": [["1", 0]]}')
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        "[[true, 0]]",  # a JSON boolean is not a number
+        '[[1, "0"]]',
+        "[[1, 0], [2]]",  # ragged pairs
+        "[[1, 0, 0]]",
+        "[1, 0]",
+        "[[1, null]]",
+        '{"1": 0}',
+        "[[1e999999, 0]]",  # parses as inf
+        "[[" + "9" * 400 + ", 0]]",  # an integer past the float range
+    ],
+)
+def test_json_readers_refuse_each_bad_entry(data):
+    with pytest.raises(ValueError):
+        hb.vector_from_json(f'{{"length": 1, "data": {data}}}')
+    with pytest.raises(ValueError):
+        hb.matrix_from_json(f'{{"rows": 1, "cols": 1, "data": {data}}}')
 
 
 def test_non_finite_input_is_rejected():
