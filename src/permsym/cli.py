@@ -29,7 +29,7 @@ from .hilbert import AssemblyConfig
 # Output budget of decompose --json: every ray vector is written densely,
 # D vectors of D [re, im] pairs, so D**2 pairs held as text until the
 # report is joined and printed.  That is about 45 B per pair at peak
-# (7x3: 4.8M pairs, 215 MB peak RSS and 1.4 s at one BLAS thread), so
+# (7x3: 4.8M pairs, 215 MB peak RSS and 0.9 s at one BLAS thread), so
 # 2**23 pairs, about 0.4 GB, admit 7x3 and refuse 5x5, 6x4 and 8x3.  The
 # text report writes no vectors and has no budget.
 JSON_PAIR_CAP = 2**23
@@ -73,7 +73,7 @@ def _read_text(path: str) -> str:
 
 
 class _Prewritten:
-    """JSON text that :func:`_emit` places in a report as it stands."""
+    """JSON text that :func:`_emit_pieces` places in a report as it stands."""
 
     __slots__ = ("text",)
 
@@ -83,35 +83,35 @@ class _Prewritten:
 
 def _json_pieces(obj, pieces: list[str]) -> None:
     """Append the text of json.dumps(obj, allow_nan=False) to pieces, with
-    each _Prewritten in obj written as its text.
-
-    json.dumps refuses a _Prewritten with TypeError, so only the
-    containers that hold one are written piece by piece.
-    """
+    each _Prewritten in obj written as its text.  Dicts and lists are
+    written piece by piece; json.dumps writes only the keys and scalars."""
     if isinstance(obj, _Prewritten):
         pieces.append(obj.text)
-        return
-    try:
+    elif isinstance(obj, dict):
+        pieces.append("{")
+        for i, (key, value) in enumerate(obj.items()):
+            pieces.append(f"{', ' if i else ''}{json.dumps(key)}: ")
+            _json_pieces(value, pieces)
+        pieces.append("}")
+    elif isinstance(obj, list):
+        pieces.append("[")
+        for i, value in enumerate(obj):
+            if i:
+                pieces.append(", ")
+            _json_pieces(value, pieces)
+        pieces.append("]")
+    else:
         pieces.append(json.dumps(obj, allow_nan=False))
-    except TypeError:
-        if isinstance(obj, dict):
-            pieces.append("{")
-            for i, (key, value) in enumerate(obj.items()):
-                pieces.append(f"{', ' if i else ''}{json.dumps(key)}: ")
-                _json_pieces(value, pieces)
-            pieces.append("}")
-        elif isinstance(obj, list):
-            pieces.append("[")
-            for i, value in enumerate(obj):
-                if i:
-                    pieces.append(", ")
-                _json_pieces(value, pieces)
-            pieces.append("]")
-        else:
-            raise
 
 
 def _emit(obj) -> None:
+    print(json.dumps(obj, allow_nan=False))
+
+
+def _emit_pieces(obj) -> None:
+    """Print obj as :func:`_emit` would, with each _Prewritten in it
+    written as its text.  Only decompose --json holds such texts; the
+    other reports are written whole, by json.dumps in C."""
     pieces: list[str] = []
     _json_pieces(obj, pieces)
     print("".join(pieces))
@@ -161,14 +161,17 @@ def _cmd_decompose(args) -> int:
             "rays": [
                 {
                     "dim": ray.dim,
-                    "vectors": [_Prewritten(hilbert.vector_to_json(column)) for column in ray.basis.T],
+                    "vectors": [
+                        _Prewritten(text)
+                        for text in hilbert.block_vectors_to_json(config.dim, ray.index, ray.vectors)
+                    ],
                 }
                 for ray in comp.rays
             ],
         }
         for comp in isotypic
     ]
-    _emit(
+    _emit_pieces(
         {
             "command": "decompose",
             "n": args.n,

@@ -298,25 +298,31 @@ def random_state(config: AssemblyConfig, rng: np.random.Generator) -> np.ndarray
 JSON_CHUNK = 2**14
 
 
+def _json_words(flat: np.ndarray) -> np.ndarray:
+    """The word json.dumps(..., allow_nan=False) writes for each entry of a
+    flat complex array, "[re, im]", as an object array of str.
+
+    Each distinct entry, found by its bit pattern so that -0.0 and 0.0
+    stay apart, is written once, with repr as json.dumps writes floats;
+    NaN and inf are refused with json's own message.
+    """
+    distinct, inverse = np.unique(flat.view("V16"), return_inverse=True)
+    values = distinct.view(np.float64).reshape(-1, 2)
+    if not np.isfinite(values).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    return np.array([f"[{re!r}, {im!r}]" for re, im in values.tolist()], dtype=object)[inverse]
+
+
 def _json_pairs(x: np.ndarray) -> list[str]:
     """The text json.dumps(..., allow_nan=False) writes for the row-major
-    [[re, im], ...] list of a complex array, in pieces for one join.
-
-    Within each chunk, each distinct entry, found by its bit pattern so
-    that -0.0 and 0.0 stay apart, is written once, with repr as json.dumps
-    writes floats, and the chunk is joined from those words.
-    """
+    [[re, im], ...] list of a complex array, in pieces for one join, from
+    the words of at most JSON_CHUNK entries at a time."""
     flat = np.ascontiguousarray(x, dtype=complex).reshape(-1)
     pieces = ["["]
     for start in range(0, flat.size, JSON_CHUNK):
-        distinct, inverse = np.unique(flat[start : start + JSON_CHUNK].view("V16"), return_inverse=True)
-        values = distinct.view(np.float64).reshape(-1, 2)
-        if not np.isfinite(values).all():
-            raise ValueError("Out of range float values are not JSON compliant")
-        words = np.array([f"[{re!r}, {im!r}]" for re, im in values.tolist()], dtype=object)
         if start:
             pieces.append(", ")
-        pieces.append(", ".join(words[inverse].tolist()))
+        pieces.append(", ".join(_json_words(flat[start : start + JSON_CHUNK]).tolist()))
     pieces.append("]")
     return pieces
 
@@ -375,6 +381,26 @@ def vector_to_json(v: np.ndarray) -> str:
     if v.ndim != 1:
         raise ValueError(f"expected a vector, got ndim {v.ndim}")
     return "".join([f'{{"length": {v.shape[0]}, "data": ', *_json_pairs(v), "}"])
+
+
+def block_vectors_to_json(length: int, index: np.ndarray, columns: np.ndarray) -> list[str]:
+    """:func:`vector_to_json` of each column of the length x k array that
+    holds ``columns`` (b x k) at the rows ``index`` and 0 elsewhere,
+    without building that array.
+
+    The k b entries and the zero go through one call of the formatting
+    step that :func:`vector_to_json` uses; each column's text is then one
+    join over a D-length line of words, the zero word off the block.
+    """
+    columns = np.asarray(columns, dtype=complex)
+    b, k = columns.shape
+    words = _json_words(np.concatenate([np.zeros(1, dtype=complex), columns.T.reshape(-1)]))
+    line = np.full(length, words[0], dtype=object)
+    texts = []
+    for j in range(k):
+        line[index] = words[1 + j * b : 1 + (j + 1) * b]
+        texts.append(f'{{"length": {length}, "data": [{", ".join(line.tolist())}]}}')
+    return texts
 
 
 def vector_from_json(text: str) -> np.ndarray:

@@ -21,11 +21,13 @@ their eigenvalues label each final eigenspace with its shape;
 :func:`assembly_rays` gives the three checks that certify it as a ray.
 Invariance is asked of the n-1 adjacent transpositions only: they
 generate S_n, and a residual r on them bounds that of any pi by
-l(pi) r, l(pi) <= C(n, 2) its length as a word in them.  The leak runs
-on the ray's real vectors in its weight block, with the transposition
-maps the split built for it; :func:`invariance_residual` runs it on the
-whole space, and :func:`compressed_commutant_dimension` reads the
-character norm there from class traces.
+l(pi) r, l(pi) <= C(n, 2) its length as a word in them.  The split
+builds the C(n, 2) transposition index maps once, on the whole space;
+each block reads its own from them, builds each refiner by one bincount
+of their entries, and runs the leak on the ray's real vectors as one
+gather over the n-1 adjacent swaps.  :func:`invariance_residual` runs the
+same leak on the whole space, and :func:`compressed_commutant_dimension`
+reads the character norm there from class traces.
 
 An isotypic component is the sum of its rays, counted against the
 hook-content formula s_lambda(1^d).  The sector family acts on the same
@@ -159,26 +161,25 @@ class IsotypicComponent:
         return self.copies * self.dim_irrep
 
 
-def _index_maps(config: AssemblyConfig, perms: list, index: np.ndarray) -> list[np.ndarray]:
-    """Map t of each P(pi) on the weight blocks ``index``: P(pi) e_index[i] = e_index[t[i]]."""
-    local = np.full(config.dim, -1)
-    local[index] = np.arange(len(index))
-    return [local[hilbert.perm_operator(config, p)[index]] for p in perms]
+def _index_maps(config: AssemblyConfig, perms: list) -> np.ndarray:
+    """Row r is the index map t of P(perms[r]) on the whole space, P(pi) e_i = e_t[i]."""
+    maps = [hilbert.perm_operator(config, perm) for perm in perms]
+    return np.array(maps, dtype=np.int64).reshape(len(perms), config.dim)
 
 
-def _leak(vectors: np.ndarray, maps: list[np.ndarray]) -> float:
-    """Largest Frobenius norm of P v - v v^dagger P v over the index maps."""
-    worst = 0.0
-    for t in maps:
-        moved = np.empty_like(vectors)
-        moved[t] = vectors
-        leak = moved - vectors @ (vectors.conj().T @ moved)
-        worst = max(worst, float(np.linalg.norm(leak)))
-    return worst
+def _leak(vectors: np.ndarray, maps: np.ndarray) -> float:
+    """Largest Frobenius norm of P v - v v^dagger P v over the rows of maps.
+
+    P v is read as one gather v[t], which is P^-1 v: exact only for
+    involutions such as the transpositions, P^-1 = P.
+    """
+    moved = vectors[maps]
+    leak = moved - vectors @ (vectors.conj().T @ moved)
+    return float(np.max(np.linalg.norm(leak, axis=(1, 2)), initial=0.0))
 
 
-def _traces(vectors: np.ndarray, maps: list[np.ndarray]) -> np.ndarray:
-    """Tr v^dagger P v for each index map."""
+def _traces(vectors: np.ndarray, maps: np.ndarray) -> np.ndarray:
+    """Tr v^dagger P v for each row of maps."""
     return np.array([np.vdot(vectors[t], vectors) for t in maps])
 
 
@@ -194,7 +195,7 @@ def invariance_residual(config: AssemblyConfig, basis: np.ndarray) -> float:
     l(pi) <= C(n, 2) is its length as a word in adjacent transpositions.
     """
     generators = symgroup.adjacent_transpositions(config.n)
-    return _leak(basis, _index_maps(config, generators, np.arange(config.dim)))
+    return _leak(basis, _index_maps(config, generators))
 
 
 def compressed_commutant_dimension(config: AssemblyConfig, basis: np.ndarray) -> int:
@@ -207,33 +208,31 @@ def compressed_commutant_dimension(config: AssemblyConfig, basis: np.ndarray) ->
     only meaningful once :func:`invariance_residual` has certified the span.
     """
     classes = symgroup.conjugacy_classes(config.n)
-    traces = _traces(basis, _index_maps(config, [c.representative for c in classes], np.arange(config.dim)))
+    traces = _traces(basis, _index_maps(config, [c.representative for c in classes]))
     return round(float(np.array([c.size for c in classes]) @ np.abs(traces) ** 2) / math.factorial(config.n))
 
 
-def _block_operators(config: AssemblyConfig, index: np.ndarray) -> tuple[dict, list[np.ndarray]]:
-    """The index maps of the transpositions (k l), keyed by 0-based slot
-    pair, on one weight block, and its refining operators as dense real
-    matrices on its words: T_2, ..., T_{d-1}, then the two central
-    elements T_d (every transposition) and sum_k X_k^2.  The block's
-    letters are read from its own flat indices."""
+def _block_operators(config: AssemblyConfig, index: np.ndarray, swaps: np.ndarray) -> list[np.ndarray]:
+    """The refining operators of one weight block as dense real matrices
+    on its words: T_2, ..., T_{d-1}, then the two central elements T_d
+    (every transposition) and sum_k X_k^2.  Row r of ``swaps`` is the
+    block's index map of the r-th transposition (k l), 0-based slot pairs
+    k < l in :func:`itertools.combinations` order.  The block's letters
+    are read from its own flat indices, and each T_m and X_k is one
+    bincount of the entries (t[j], j) of the transpositions it keeps."""
     n, b = config.n, len(index)
-    letters = np.unravel_index(index, (config.d,) * n)
-    slot_pairs = list(itertools.combinations(range(n), 2))
-    transpositions = [symgroup.from_cycles(n, [(k + 1, l + 1)]) for k, l in slot_pairs]
-    swaps = dict(zip(slot_pairs, _index_maps(config, transpositions, index)))
+    letters = np.array(np.unravel_index(index, (config.d,) * n))
+    k, l = np.triu_indices(n, 1)  # the slot pairs, in combinations order
+    cells = swaps * b + np.arange(b)  # flat (row, column) of P((k l)) e_j = e_t[j]
+    top = np.maximum(letters[k], letters[l])  # the larger letter the swap moves
 
-    def swap_sum(pairs, below: int) -> np.ndarray:
-        op = np.zeros((b, b))
-        for k, l in pairs:
-            keep = np.flatnonzero((letters[k] < below) & (letters[l] < below))
-            op[swaps[k, l][keep], keep] += 1.0
-        return op
+    def count(kept: np.ndarray) -> np.ndarray:
+        return np.bincount(kept.reshape(-1), minlength=b * b).reshape(b, b).astype(float)
 
-    ops = [swap_sum(swaps, m) for m in [*range(2, config.d), config.d]]
-    jucys_murphy = [swap_sum([(j, k) for j in range(k)], config.d) for k in range(1, n)]
+    ops = [count(cells[top < m]) for m in range(2, config.d)] + [count(cells)]
+    jucys_murphy = [count(cells[l == slot]) for slot in range(1, n)]
     ops.append(sum((x @ x for x in jucys_murphy), np.zeros((b, b))))
-    return swaps, ops
+    return ops
 
 
 def assembly_rays(config: AssemblyConfig) -> list[GeneralisedRay]:
@@ -250,24 +249,39 @@ def assembly_rays(config: AssemblyConfig) -> list[GeneralisedRay]:
     An invariant span inside one joint eigenspace of central elements
     lies in the lambda-isotypic component; with dimension f^lambda it is
     one copy of S^lambda.  A failure raises :class:`DecompositionError`.
+
+    The C(n, 2) transposition maps are built once, on the whole space,
+    and each block reads its own from them through the position of each
+    word in its block.
     """
-    shapes = symgroup.central_labels(config.n)  # refuses n > N_MAX before any p(n) work
+    n = config.n
+    shapes = symgroup.central_labels(n)  # refuses n > N_MAX before any p(n) work
+    slot_pairs = list(itertools.combinations(range(n), 2))
+    maps = _index_maps(config, [symgroup.from_cycles(n, [(k + 1, l + 1)]) for k, l in slot_pairs])
+    adjacent = [slot_pairs.index((k, k + 1)) for k in range(n - 1)]
+    blocks = hilbert.weight_blocks(config)
+    position = np.empty(config.dim, dtype=np.intp)  # of each word in its weight block
+    for index in blocks:
+        position[index] = np.arange(len(index))
+    dims: dict = {}  # f^lambda of each shape met, None for labels that name none
     rays: list[GeneralisedRay] = []
-    for index in hilbert.weight_blocks(config):
-        swaps, ops = _block_operators(config, index)
-        generator_maps = [swaps[k, k + 1] for k in range(config.n - 1)]
+    for index in blocks:
+        swaps = position[maps[:, index]]
         spaces = [((), np.eye(len(index)))]
-        for op in ops:
+        for op in _block_operators(config, index, swaps):
             finer = []
             for labels, v in spaces:
                 eigvals, eigvecs = np.linalg.eigh(v.T @ op @ v)
-                rounded = np.rint(eigvals)
-                finer += [(labels + (int(r),), v @ eigvecs[:, rounded == r]) for r in np.unique(rounded)]
+                rounded = np.rint(eigvals)  # ascending, as eigh returns them
+                distinct = rounded[np.r_[True, rounded[1:] != rounded[:-1]]]
+                finer += [(labels + (int(r),), v @ eigvecs[:, rounded == r]) for r in distinct]
             spaces = finer
         for labels, v in spaces:
             shape = shapes.get(labels[-2:])
-            want = symgroup.irrep_dimension(shape) if shape else None
-            residual = _leak(v, generator_maps)
+            if shape not in dims:
+                dims[shape] = symgroup.irrep_dimension(shape) if shape else None
+            want = dims[shape]
+            residual = _leak(v, swaps[adjacent])
             if v.shape[1] != want or residual > EPS_ABS:
                 raise DecompositionError(
                     f"a {v.shape[1]}-dimensional eigenspace is no certified ray: its central labels "

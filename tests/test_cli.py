@@ -167,7 +167,7 @@ def test_decompose_text_report_builds_no_vectors(capsys, monkeypatch):
     def refuse(x):
         raise AssertionError("the text report wrote a ray vector")
 
-    monkeypatch.setattr(hb, "_json_pairs", refuse)
+    monkeypatch.setattr(hb, "_json_words", refuse)
     code, out, _ = run_cli(capsys, ["decompose", "--n", "4", "--d", "3"])
     assert code == 0
     assert out.splitlines()[:4] == [
@@ -178,12 +178,36 @@ def test_decompose_text_report_builds_no_vectors(capsys, monkeypatch):
     ]
 
 
-@pytest.mark.parametrize("n,d", [(3, 3), (4, 3)])
+@pytest.mark.parametrize("n,d", [(3, 3), (4, 3), (5, 3), (6, 2)])
 def test_decompose_json_is_the_dense_report(capsys, n, d):
     # the prewritten ray vectors sit in the report as json.dumps would write them
     code, out, _ = run_cli(capsys, ["decompose", "--n", str(n), "--d", str(d), "--json"])
     assert code == 0
     assert out == json.dumps(decompose_report(n, d), allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {},
+        [],
+        {"a": [1, 2.5, -0.0, 5e-324, True, None, "\u00e9\n"], "b": {"c": [], "d": {}}, "e": (1, [2])},
+        [[1e16, "x"], {"k": [[], [{}]]}, 1 / 3],
+        {"command": "decompose", "tolerance": hb.EPS_ABS, "seed": None, "ranks": {"para": 4}},
+    ],
+)
+def test_json_pieces_write_what_json_dumps_writes(obj):
+    pieces = []
+    cli._json_pieces(obj, pieces)
+    assert "".join(pieces) == json.dumps(obj, allow_nan=False)
+
+
+def test_json_pieces_place_prewritten_text_and_refuse_nan():
+    pieces = []
+    cli._json_pieces({"v": [cli._Prewritten('{"length": 0, "data": []}')], "n": 2}, pieces)
+    assert "".join(pieces) == '{"v": [{"length": 0, "data": []}], "n": 2}'
+    with pytest.raises(ValueError, match="Out of range float values"):
+        cli._json_pieces({"x": [math.nan]}, [])
 
 
 def test_decompose_is_byte_deterministic(capsys):
@@ -823,6 +847,20 @@ def test_describe_refuses_names_it_cannot_print(capsys, monkeypatch, model, kind
     code, out, err = run_cli(capsys, ["model", "--input", "-", "--describe", kind])
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "one s-expression token" in err
+
+
+def test_python_dash_m_permsym_runs_the_command_line():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "permsym", "coins", "--measure", "bose"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == '{"HH": "1/3", "mixed": "1/3", "TT": "1/3"}\n'
+    assert proc.stderr == ""
 
 
 def test_console_script_is_installed():

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from permsym import hilbert as hb
+from permsym import sectors as sec
 from permsym import symgroup as sg
 from permsym import symmetriser as sym
 
@@ -376,6 +377,42 @@ def test_json_writers_match_the_per_entry_form_on_drawn_arrays(x, chunk):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hb, "JSON_CHUNK", chunk)  # entries split across several chunks
         assert_writers_match_the_per_entry_form(x)
+
+
+def assert_block_writer_matches_the_dense_columns(ray):
+    """Each text of the block writer is vector_to_json of a column of the ray's D x k basis."""
+    texts = hb.block_vectors_to_json(ray.config.dim, ray.index, ray.vectors)
+    assert texts == [hb.vector_to_json(column) for column in ray.basis.T]
+
+
+def test_block_writer_matches_vector_to_json_on_the_rays_of_5x3():
+    rays = sec.assembly_rays(hb.AssemblyConfig(5, 3))
+    assert any(ray.dim > 1 for ray in rays)
+    for ray in rays:
+        assert_block_writer_matches_the_dense_columns(ray)
+
+
+def test_block_writer_matches_vector_to_json_on_crafted_blocks():
+    cfg = hb.AssemblyConfig(3, 2)
+    index = np.array([1, 2, 4])  # the three words holding letter 1 once
+    # -0.0 and a subnormal, in both columns, next to the off-block zeros
+    vectors = np.array([[-0.0, 5e-324], [5e-324, -0.0], [1 / 3, -5e-324]])
+    assert_block_writer_matches_the_dense_columns(sec.GeneralisedRay(cfg, (2, 1), index, vectors))
+    # a one-word block, first and last word of the space
+    for word in (0, cfg.dim - 1):
+        one = sec.GeneralisedRay(cfg, (3,), np.array([word]), np.array([[-1.0]]))
+        assert_block_writer_matches_the_dense_columns(one)
+    # a block that is the whole space leaves no zero word
+    whole = sec.GeneralisedRay(cfg, (3,), np.arange(cfg.dim), np.full((cfg.dim, 1), 8**-0.5))
+    assert_block_writer_matches_the_dense_columns(whole)
+
+
+def test_block_writer_refuses_nan_with_jsons_message():
+    with pytest.raises(ValueError) as by_json:
+        json.dumps([[math.nan, 0.0]], allow_nan=False)
+    with pytest.raises(ValueError) as by_block:
+        hb.block_vectors_to_json(4, np.array([1, 3]), np.array([[0.5], [math.nan]]))
+    assert str(by_block.value) == str(by_json.value)
 
 
 @pytest.mark.parametrize("n,d", [(1, 3), (3, 2), (3, 3), (4, 3), (5, 2)])

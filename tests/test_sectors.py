@@ -262,9 +262,9 @@ def test_an_unsplit_eigenspace_fails_its_certificate(monkeypatch):
     lift = 12 * class_sum_projector(cfg, (3, 3))[np.ix_(index, index)]
     operators = sec._block_operators
 
-    def with_the_lift(config, block):
-        swaps, ops = operators(config, block)
-        return swaps, ops[:-1] + [ops[-1] + lift]
+    def with_the_lift(config, block, swaps):
+        ops = operators(config, block, swaps)
+        return ops[:-1] + [ops[-1] + lift]
 
     monkeypatch.setattr(hb, "weight_blocks", lambda config: [index])
     monkeypatch.setattr(sec, "_block_operators", with_the_lift)
@@ -273,11 +273,12 @@ def test_an_unsplit_eigenspace_fails_its_certificate(monkeypatch):
 
 
 @pytest.mark.parametrize("n,d", [(4, 3), (5, 3)])
-def test_certificates_are_built_per_block_not_per_ray(n, d, monkeypatch):
-    # per weight block: C(n, 2) transpositions for the split, whose n-1
-    # adjacent swaps the leak reuses; the shapes come from the central
-    # labels, with no class representative; the split and the sector
-    # family each build the letters once, for the weight blocks
+def test_transposition_maps_are_built_once_per_split(n, d, monkeypatch):
+    # per split: C(n, 2) transpositions on the whole space, which every
+    # weight block reads and whose n-1 adjacent swaps the leak reuses; the
+    # shapes come from the central labels, with no class representative;
+    # the split and the sector family each build the letters once, for
+    # the weight blocks
     cfg = hb.AssemblyConfig(n, d)
     maps, classes, letter_tables = [], [], []
     perm_operator, conjugacy_classes, letters = hb.perm_operator, sg.conjugacy_classes, hb._letters
@@ -288,9 +289,8 @@ def test_certificates_are_built_per_block_not_per_ray(n, d, monkeypatch):
     assert letter_tables == [cfg]
     sec.SectorProjectors.build(cfg)
     monkeypatch.undo()
-    blocks = len(hb.weight_blocks(cfg))
-    assert len(rays) > blocks
-    assert len(maps) == blocks * math.comb(n, 2)
+    assert len(rays) > len(hb.weight_blocks(cfg))
+    assert len(maps) == math.comb(n, 2)
     assert classes == []
     assert letter_tables == [cfg, cfg]
 
