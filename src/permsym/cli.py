@@ -7,9 +7,12 @@ Exit codes: 0 on success, 1 when a verification fails (a residual exceeds
 its tolerance or a certified decomposition cannot be produced), 2 on
 usage or input errors (input or output past a size budget included), 3
 when the computation runs out of memory or recursion depth or a
-linear-algebra routine fails.  Output is deterministic: identical argv
-and seed give byte-identical bytes, with floats in shortest round-trip
-form.
+linear-algebra routine fails.  Output is deterministic at a fixed BLAS
+thread count: identical argv and seed give byte-identical bytes, with
+floats in shortest round-trip form.  The ray vectors of decompose --json
+can change with the thread count, since eigh may return another basis
+of a degenerate eigenspace; a Young basis with fixed signs (ROADMAP
+item 4) would pin them.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .hilbert import AssemblyConfig
 # Output budget of decompose --json: every ray vector is written densely,
 # D vectors of D [re, im] pairs, so D**2 pairs held as text until the
 # report is joined and printed.  That is about 45 B per pair at peak
-# (7x3: 4.8M pairs, 215 MB peak RSS and 0.9 s at one BLAS thread), so
+# (7x3: 4.8M pairs, 223 MB peak RSS and 0.55 s at one BLAS thread), so
 # 2**23 pairs, about 0.4 GB, admit 7x3 and refuse 5x5, 6x4 and 8x3.  The
 # text report writes no vectors and has no budget.
 JSON_PAIR_CAP = 2**23
@@ -152,6 +155,9 @@ def _cmd_decompose(args) -> int:
                 f"{comp.copies} x dim {comp.dim_irrep} (rays: {dims})"
             )
         return 0
+    # every ray's vector texts, from one formatting pass, in report order
+    blocks = [(ray.index, ray.vectors) for comp in isotypic for ray in comp.rays]
+    texts = iter(hilbert.rays_to_json(config.dim, blocks))
     components = [
         {
             "partition": list(comp.shape),
@@ -159,14 +165,7 @@ def _cmd_decompose(args) -> int:
             "irrep_dimension": comp.dim_irrep,
             "copies": comp.copies,
             "rays": [
-                {
-                    "dim": ray.dim,
-                    "vectors": [
-                        _Prewritten(text)
-                        for text in hilbert.block_vectors_to_json(config.dim, ray.index, ray.vectors)
-                    ],
-                }
-                for ray in comp.rays
+                {"dim": ray.dim, "vectors": [_Prewritten(text) for text in next(texts)]} for ray in comp.rays
             ],
         }
         for comp in isotypic

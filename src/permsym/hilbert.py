@@ -383,23 +383,29 @@ def vector_to_json(v: np.ndarray) -> str:
     return "".join([f'{{"length": {v.shape[0]}, "data": ', *_json_pairs(v), "}"])
 
 
-def block_vectors_to_json(length: int, index: np.ndarray, columns: np.ndarray) -> list[str]:
-    """:func:`vector_to_json` of each column of the length x k array that
-    holds ``columns`` (b x k) at the rows ``index`` and 0 elsewhere,
-    without building that array.
+def rays_to_json(length: int, blocks: Sequence[tuple[np.ndarray, np.ndarray]]) -> list[list[str]]:
+    """For each (index, columns) pair of ``blocks``, :func:`vector_to_json`
+    of each column of the length x k array that holds ``columns`` (b x k)
+    at the rows ``index`` and 0 elsewhere, without building that array.
 
-    The k b entries and the zero go through one call of the formatting
-    step that :func:`vector_to_json` uses; each column's text is then one
-    join over a D-length line of words, the zero word off the block.
+    The entries of every block and the zero go through one call of the
+    formatting step that :func:`vector_to_json` uses, so an entry met in
+    several blocks is formatted once; each column's text is then one join
+    over a D-length line of words, the zero word off its block.
     """
-    columns = np.asarray(columns, dtype=complex)
-    b, k = columns.shape
-    words = _json_words(np.concatenate([np.zeros(1, dtype=complex), columns.T.reshape(-1)]))
+    columns = [np.asarray(c, dtype=complex) for _, c in blocks]
+    words = _json_words(np.concatenate([np.zeros(1, dtype=complex), *(c.T.reshape(-1) for c in columns)]))
     line = np.full(length, words[0], dtype=object)
-    texts = []
-    for j in range(k):
-        line[index] = words[1 + j * b : 1 + (j + 1) * b]
-        texts.append(f'{{"length": {length}, "data": [{", ".join(line.tolist())}]}}')
+    texts, start = [], 1
+    for (index, _), c in zip(blocks, columns):
+        b, k = c.shape
+        block_texts = []
+        for _ in range(k):
+            line[index] = words[start : start + b]
+            start += b
+            block_texts.append(f'{{"length": {length}, "data": [{", ".join(line.tolist())}]}}')
+        line[index] = words[0]
+        texts.append(block_texts)
     return texts
 
 

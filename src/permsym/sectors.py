@@ -5,11 +5,16 @@ image of C[S_n] is block-diagonal over the weight blocks of
 :func:`permsym.hilbert.weight_blocks` (words of one letter content mu).
 By Schur-Weyl duality a block holds one copy of S^lambda per
 Gelfand-Tsetlin pattern of shape lambda and weight mu.  Those copies,
-the generalised rays, are split off block by block with no pass over S_n
-and no random draw: each of a short list of commuting operators with
-integer spectra is compressed onto the eigenspaces of the one before,
-diagonalised, and its eigenvectors grouped by rint of the eigenvalue.
-The list is the masked transposition sums
+the generalised rays, are split off with no pass over S_n and no random
+draw.  Relabelling letters commutes with permuting slots, so blocks
+whose contents differ by a relabelling sigma, mu and sigma.mu, hold the
+same rays up to a reindexing of their words: the blocks are grouped by
+sorted letter content, only the first block of each class is split, and
+its rays are carried to the others by sigma as an exact row gather.
+The split compresses each of a short list of commuting operators with
+integer spectra onto the eigenspaces of the one before, diagonalises
+it, and groups its eigenvectors by rint of the eigenvalue.  The list is
+the masked transposition sums
 
     T_m = sum_{k<l} P((k l)) [slots k and l both hold letters < m],  m = 2..d,
 
@@ -18,16 +23,18 @@ sum_k X_k^2 of the squared Jucys-Murphy elements X_k = sum_{j<k} P((j k)),
 which parts shapes of equal content sum such as (4,1,1) and (3,3).  The
 last two, T_d (every transposition) and sum_k X_k^2, are central, and
 their eigenvalues label each final eigenspace with its shape;
-:func:`assembly_rays` gives the three checks that certify it as a ray.
+:func:`assembly_rays` gives the three checks that certify it as a ray,
+in its own block, carried or split.
 Invariance is asked of the n-1 adjacent transpositions only: they
 generate S_n, and a residual r on them bounds that of any pi by
 l(pi) r, l(pi) <= C(n, 2) its length as a word in them.  The split
 builds the C(n, 2) transposition index maps once, on the whole space;
-each block reads its own from them, builds each refiner by one bincount
-of their entries, and runs the leak on the ray's real vectors as one
-gather over the n-1 adjacent swaps.  :func:`invariance_residual` runs the
-same leak on the whole space, and :func:`compressed_commutant_dimension`
-reads the character norm there from class traces.
+each block reads its own from them, the first of each class builds each
+refiner by one bincount of their entries, and every block runs the leak
+on its rays' real vectors as one gather over the n-1 adjacent swaps.
+:func:`invariance_residual` runs the same leak on the whole space, and
+:func:`compressed_commutant_dimension` reads the character norm there
+from class traces.
 
 An isotypic component is the sum of its rays, counted against the
 hook-content formula s_lambda(1^d).  The sector family acts on the same
@@ -212,17 +219,20 @@ def compressed_commutant_dimension(config: AssemblyConfig, basis: np.ndarray) ->
     return round(float(np.array([c.size for c in classes]) @ np.abs(traces) ** 2) / math.factorial(config.n))
 
 
-def _block_operators(config: AssemblyConfig, index: np.ndarray, swaps: np.ndarray) -> list[np.ndarray]:
+def _block_operators(
+    config: AssemblyConfig, index: np.ndarray, swaps: np.ndarray, pairs: tuple[np.ndarray, np.ndarray]
+) -> list[np.ndarray]:
     """The refining operators of one weight block as dense real matrices
     on its words: T_2, ..., T_{d-1}, then the two central elements T_d
-    (every transposition) and sum_k X_k^2.  Row r of ``swaps`` is the
-    block's index map of the r-th transposition (k l), 0-based slot pairs
-    k < l in :func:`itertools.combinations` order.  The block's letters
-    are read from its own flat indices, and each T_m and X_k is one
-    bincount of the entries (t[j], j) of the transpositions it keeps."""
+    (every transposition) and sum_k X_k^2.  ``pairs`` holds the 0-based
+    slot pairs k < l of the transpositions (k l) in
+    :func:`itertools.combinations` order, and row r of ``swaps`` is the
+    block's index map of the r-th of them.  The block's letters are read
+    from its own flat indices, and each T_m and X_k is one bincount of
+    the entries (t[j], j) of the transpositions it keeps."""
     n, b = config.n, len(index)
     letters = np.array(np.unravel_index(index, (config.d,) * n))
-    k, l = np.triu_indices(n, 1)  # the slot pairs, in combinations order
+    k, l = pairs
     cells = swaps * b + np.arange(b)  # flat (row, column) of P((k l)) e_j = e_t[j]
     top = np.maximum(letters[k], letters[l])  # the larger letter the swap moves
 
@@ -235,53 +245,89 @@ def _block_operators(config: AssemblyConfig, index: np.ndarray, swaps: np.ndarra
     return ops
 
 
+def _eigenspaces(ops: list[np.ndarray]) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """The joint eigenspaces of commuting operators with integer spectra,
+    each with its labels, one rounded eigenvalue per operator: each
+    operator is compressed onto the eigenspaces of the one before,
+    diagonalised, and its eigenvectors grouped by rint of the eigenvalue.
+    A one-column space keeps its column and takes the compression's one
+    entry as its eigenvalue, as eigh of a 1 x 1 matrix returns them."""
+    spaces = [((), np.eye(len(ops[0])))]
+    for op in ops:
+        finer = []
+        for labels, v in spaces:
+            m = v.T @ op @ v
+            if len(m) == 1:
+                finer.append((labels + (int(np.rint(m[0, 0])),), v))
+                continue
+            eigvals, eigvecs = np.linalg.eigh(m)
+            rounded = np.rint(eigvals)  # ascending, as eigh returns them
+            for r in dict.fromkeys(rounded.tolist()):  # the distinct values, ascending
+                finer.append((labels + (int(r),), v @ eigvecs[:, rounded == r]))
+        spaces = finer
+    return spaces
+
+
 def assembly_rays(config: AssemblyConfig) -> list[GeneralisedRay]:
     """All generalised rays of the assembly, grouped by partition in the
     order of :func:`permsym.symgroup.partitions`, each certified in its block.
 
-    Each final eigenspace v of a block carries the labels of the two
-    central refiners, T_d and sum_k X_k^2, which act on S^lambda as the
-    scalars sum of contents and sum of contents squared.  Its certificate
-    is three checks: the pair names a partition lambda in
-    :func:`permsym.symgroup.central_labels` (one-to-one for n <= 14, so
-    within ``N_MAX``), dim v is f^lambda by the hook-length formula, and
-    the leak of span(v) on the n-1 adjacent swaps is at most EPS_ABS.
-    An invariant span inside one joint eigenspace of central elements
-    lies in the lambda-isotypic component; with dimension f^lambda it is
-    one copy of S^lambda.  A failure raises :class:`DecompositionError`.
+    The weight blocks fall into classes of equal sorted letter content.
+    Only the first block of each class, in :func:`permsym.hilbert.weight_blocks`
+    order, is split into the joint eigenspaces of its refiners.  Relabelling
+    letters commutes with permuting slots, so a relabelling sigma that maps
+    each letter to a letter of equal count in the first block carries its
+    rays onto every other block of the class: a word w of that block reads
+    row sigma(w) of the first block's vectors, an exact reindex.
+
+    Each final eigenspace v carries the labels of the two central refiners,
+    T_d and sum_k X_k^2, which act on S^lambda as the scalars sum of
+    contents and sum of contents squared; a carried ray keeps its source's.
+    Its certificate, in its own block, is three checks: the pair names a
+    partition lambda in :func:`permsym.symgroup.central_labels` (one-to-one
+    for n <= 14, so within ``N_MAX``), dim v is f^lambda by the hook-length
+    formula, and the leak of span(v) on the block's n-1 adjacent swaps is
+    at most EPS_ABS.  An invariant span inside one joint eigenspace of
+    central elements lies in the lambda-isotypic component; with dimension
+    f^lambda it is one copy of S^lambda.  A failure raises
+    :class:`DecompositionError`.
 
     The C(n, 2) transposition maps are built once, on the whole space,
     and each block reads its own from them through the position of each
     word in its block.
     """
-    n = config.n
+    n, grid = config.n, (config.d,) * config.n  # flat index <-> letters
     shapes = symgroup.central_labels(n)  # refuses n > N_MAX before any p(n) work
-    slot_pairs = list(itertools.combinations(range(n), 2))
-    maps = _index_maps(config, [symgroup.from_cycles(n, [(k + 1, l + 1)]) for k, l in slot_pairs])
-    adjacent = [slot_pairs.index((k, k + 1)) for k in range(n - 1)]
+    pairs = np.triu_indices(n, 1)  # the slot pairs k < l, in combinations order
+    transpositions = [symgroup.from_cycles(n, [(k + 1, l + 1)]) for k, l in zip(*(p.tolist() for p in pairs))]
+    maps = _index_maps(config, transpositions)
+    adjacent = maps[pairs[1] == pairs[0] + 1]
     blocks = hilbert.weight_blocks(config)
     position = np.empty(config.dim, dtype=np.intp)  # of each word in its weight block
     for index in blocks:
         position[index] = np.arange(len(index))
+    sources: dict = {}  # sorted content -> (letter counts, eigenspaces) of the class's first block
     dims: dict = {}  # f^lambda of each shape met, None for labels that name none
     rays: list[GeneralisedRay] = []
     for index in blocks:
-        swaps = position[maps[:, index]]
-        spaces = [((), np.eye(len(index)))]
-        for op in _block_operators(config, index, swaps):
-            finer = []
-            for labels, v in spaces:
-                eigvals, eigvecs = np.linalg.eigh(v.T @ op @ v)
-                rounded = np.rint(eigvals)  # ascending, as eigh returns them
-                distinct = rounded[np.r_[True, rounded[1:] != rounded[:-1]]]
-                finer += [(labels + (int(r),), v @ eigvecs[:, rounded == r]) for r in distinct]
-            spaces = finer
+        counts = np.bincount(np.unravel_index(index[0], grid), minlength=config.d)
+        key = tuple(np.sort(counts))
+        if key in sources:
+            source_counts, source_spaces = sources[key]
+            sigma = np.empty(config.d, dtype=np.intp)  # each letter to one of equal count
+            sigma[np.argsort(counts, kind="stable")] = np.argsort(source_counts, kind="stable")
+            rows = position[np.ravel_multi_index(sigma[np.array(np.unravel_index(index, grid))], grid)]
+            spaces = [(labels, v[rows]) for labels, v in source_spaces]
+        else:
+            spaces = _eigenspaces(_block_operators(config, index, position[maps[:, index]], pairs))
+            sources[key] = counts, spaces
+        block_adjacent = position[adjacent[:, index]]
         for labels, v in spaces:
             shape = shapes.get(labels[-2:])
             if shape not in dims:
                 dims[shape] = symgroup.irrep_dimension(shape) if shape else None
             want = dims[shape]
-            residual = _leak(v, swaps[adjacent])
+            residual = _leak(v, block_adjacent)
             if v.shape[1] != want or residual > EPS_ABS:
                 raise DecompositionError(
                     f"a {v.shape[1]}-dimensional eigenspace is no certified ray: its central labels "

@@ -178,6 +178,16 @@ def test_decompose_text_report_builds_no_vectors(capsys, monkeypatch):
     ]
 
 
+@pytest.mark.parametrize("n,d", [(3, 2), (4, 3), (5, 3)])
+def test_decompose_json_formats_its_entries_in_one_pass(capsys, monkeypatch, n, d):
+    calls = []
+    json_words = hb._json_words
+    monkeypatch.setattr(hb, "_json_words", lambda flat: calls.append(flat.size) or json_words(flat))
+    code, out, _ = run_cli(capsys, ["decompose", "--n", str(n), "--d", str(d), "--json"])
+    assert code == 0 and json.loads(out)["command"] == "decompose"
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("n,d", [(3, 3), (4, 3), (5, 3), (6, 2)])
 def test_decompose_json_is_the_dense_report(capsys, n, d):
     # the prewritten ray vectors sit in the report as json.dumps would write them

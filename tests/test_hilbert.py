@@ -379,40 +379,41 @@ def test_json_writers_match_the_per_entry_form_on_drawn_arrays(x, chunk):
         assert_writers_match_the_per_entry_form(x)
 
 
-def assert_block_writer_matches_the_dense_columns(ray):
-    """Each text of the block writer is vector_to_json of a column of the ray's D x k basis."""
-    texts = hb.block_vectors_to_json(ray.config.dim, ray.index, ray.vectors)
-    assert texts == [hb.vector_to_json(column) for column in ray.basis.T]
+def assert_report_writer_matches_the_dense_columns(rays):
+    """The texts of the report writer are vector_to_json of each column of each ray's D x k basis."""
+    texts = hb.rays_to_json(rays[0].config.dim, [(ray.index, ray.vectors) for ray in rays])
+    assert texts == [[hb.vector_to_json(column) for column in ray.basis.T] for ray in rays]
 
 
-def test_block_writer_matches_vector_to_json_on_the_rays_of_5x3():
+def test_report_writer_matches_vector_to_json_on_the_rays_of_5x3():
     rays = sec.assembly_rays(hb.AssemblyConfig(5, 3))
     assert any(ray.dim > 1 for ray in rays)
-    for ray in rays:
-        assert_block_writer_matches_the_dense_columns(ray)
+    assert_report_writer_matches_the_dense_columns(rays)
 
 
-def test_block_writer_matches_vector_to_json_on_crafted_blocks():
+def test_report_writer_matches_vector_to_json_on_crafted_blocks():
     cfg = hb.AssemblyConfig(3, 2)
     index = np.array([1, 2, 4])  # the three words holding letter 1 once
     # -0.0 and a subnormal, in both columns, next to the off-block zeros
     vectors = np.array([[-0.0, 5e-324], [5e-324, -0.0], [1 / 3, -5e-324]])
-    assert_block_writer_matches_the_dense_columns(sec.GeneralisedRay(cfg, (2, 1), index, vectors))
+    crafted = sec.GeneralisedRay(cfg, (2, 1), index, vectors)
     # a one-word block, first and last word of the space
-    for word in (0, cfg.dim - 1):
-        one = sec.GeneralisedRay(cfg, (3,), np.array([word]), np.array([[-1.0]]))
-        assert_block_writer_matches_the_dense_columns(one)
+    ones = [sec.GeneralisedRay(cfg, (3,), np.array([word]), np.array([[-1.0]])) for word in (0, cfg.dim - 1)]
     # a block that is the whole space leaves no zero word
     whole = sec.GeneralisedRay(cfg, (3,), np.arange(cfg.dim), np.full((cfg.dim, 1), 8**-0.5))
-    assert_block_writer_matches_the_dense_columns(whole)
+    for rays in [[crafted], ones[:1], ones[1:], [whole]]:
+        assert_report_writer_matches_the_dense_columns(rays)
+    # in one report, each block's entries leave the line before the next block
+    assert_report_writer_matches_the_dense_columns([crafted, whole, *ones, crafted])
 
 
-def test_block_writer_refuses_nan_with_jsons_message():
+def test_report_writer_refuses_nan_with_jsons_message():
     with pytest.raises(ValueError) as by_json:
         json.dumps([[math.nan, 0.0]], allow_nan=False)
-    with pytest.raises(ValueError) as by_block:
-        hb.block_vectors_to_json(4, np.array([1, 3]), np.array([[0.5], [math.nan]]))
-    assert str(by_block.value) == str(by_json.value)
+    with pytest.raises(ValueError) as by_report:
+        blocks = [(np.array([0]), np.array([[0.25]])), (np.array([1, 3]), np.array([[0.5], [math.nan]]))]
+        hb.rays_to_json(4, blocks)
+    assert str(by_report.value) == str(by_json.value)
 
 
 @pytest.mark.parametrize("n,d", [(1, 3), (3, 2), (3, 3), (4, 3), (5, 2)])

@@ -262,8 +262,8 @@ def test_an_unsplit_eigenspace_fails_its_certificate(monkeypatch):
     lift = 12 * class_sum_projector(cfg, (3, 3))[np.ix_(index, index)]
     operators = sec._block_operators
 
-    def with_the_lift(config, block, swaps):
-        ops = operators(config, block, swaps)
+    def with_the_lift(*args):
+        ops = operators(*args)
         return ops[:-1] + [ops[-1] + lift]
 
     monkeypatch.setattr(hb, "weight_blocks", lambda config: [index])
@@ -277,22 +277,77 @@ def test_transposition_maps_are_built_once_per_split(n, d, monkeypatch):
     # per split: C(n, 2) transpositions on the whole space, which every
     # weight block reads and whose n-1 adjacent swaps the leak reuses; the
     # shapes come from the central labels, with no class representative;
-    # the split and the sector family each build the letters once, for
-    # the weight blocks
+    # the refiners are built for one block per content class; the split
+    # and the sector family each build the letters once, for the weight
+    # blocks
     cfg = hb.AssemblyConfig(n, d)
-    maps, classes, letter_tables = [], [], []
+    blocks, classes = {(4, 3): (15, 4), (5, 3): (21, 5)}[n, d]
+    maps, representatives, refined, letter_tables = [], [], [], []
     perm_operator, conjugacy_classes, letters = hb.perm_operator, sg.conjugacy_classes, hb._letters
+    block_operators = sec._block_operators
     monkeypatch.setattr(hb, "perm_operator", lambda config, perm: maps.append(perm) or perm_operator(config, perm))
-    monkeypatch.setattr(sg, "conjugacy_classes", lambda k: classes.append(k) or conjugacy_classes(k))
+    monkeypatch.setattr(sg, "conjugacy_classes", lambda k: representatives.append(k) or conjugacy_classes(k))
     monkeypatch.setattr(hb, "_letters", lambda config: letter_tables.append(config) or letters(config))
+    monkeypatch.setattr(sec, "_block_operators", lambda *args: refined.append(args[1]) or block_operators(*args))
     rays = sec.assembly_rays(cfg)
     assert letter_tables == [cfg]
     sec.SectorProjectors.build(cfg)
     monkeypatch.undo()
-    assert len(rays) > len(hb.weight_blocks(cfg))
+    assert len(hb.weight_blocks(cfg)) == blocks
+    assert len(rays) > blocks
     assert len(maps) == math.comb(n, 2)
-    assert classes == []
+    assert len(refined) == classes
+    assert len({content_class(cfg, index) for index in refined}) == classes
+    assert representatives == []
     assert letter_tables == [cfg, cfg]
+
+
+def content_class(cfg, index):
+    """The sorted letter counts of a weight block: equal for two blocks
+    exactly when a relabelling of the letters maps one onto the other."""
+    word = cfg.letters(int(index[0]))
+    return tuple(sorted(word.count(a) for a in range(cfg.d)))
+
+
+def relabelled_rows(cfg, index, source_index):
+    """Row of each word of block ``index`` in block ``source_index`` after
+    the relabelling that pairs the letters of both blocks in order of
+    (count, letter), so that each letter meets one of equal count."""
+    counts, source_counts = (
+        [cfg.letters(int(block[0])).count(a) for a in range(cfg.d)] for block in (index, source_index)
+    )
+    by_count = sorted(range(cfg.d), key=lambda a: (counts[a], a))
+    sigma = dict(zip(by_count, sorted(range(cfg.d), key=lambda a: (source_counts[a], a))))
+    row = {int(word): r for r, word in enumerate(source_index)}
+    return [row[cfg.flat_index([sigma[a] for a in cfg.letters(int(word))])] for word in index]
+
+
+@pytest.mark.parametrize("n,d", [(4, 3), (5, 3)])
+def test_carried_rays_are_the_relabelled_rows_of_their_source(n, d):
+    # the first block of each content class is split; every other block
+    # of the class holds its rays, in the same order, at the rows of its
+    # relabelled words, bit for bit; every ray is certified on the whole
+    # space too
+    cfg = hb.AssemblyConfig(n, d)
+    rays = sec.assembly_rays(cfg)
+    by_block: dict = {}
+    for ray in rays:
+        by_block.setdefault(int(ray.index[0]), []).append(ray)
+    sources: dict = {}
+    carried = 0
+    for index in hb.weight_blocks(cfg):
+        source_index = sources.setdefault(content_class(cfg, index), index)
+        mine, theirs = by_block[int(index[0])], by_block[int(source_index[0])]
+        assert [r.shape for r in mine] == [r.shape for r in theirs]
+        rows = relabelled_rows(cfg, index, source_index)
+        for ray, source in zip(mine, theirs):
+            assert np.array_equal(ray.index, index)
+            assert np.array_equal(ray.vectors, source.vectors[rows])
+            carried += source_index is not index
+    assert carried > 0
+    for ray in rays:
+        assert sec.invariance_residual(cfg, ray.basis) <= hb.EPS_ABS
+        assert sec.compressed_commutant_dimension(cfg, ray.basis) == 1
 
 
 @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (2, 3), (3, 3)])
