@@ -12,7 +12,7 @@ thread count: identical argv and seed give byte-identical bytes, with
 floats in shortest round-trip form.  The ray vectors of decompose --json
 can change with the thread count, since eigh may return another basis
 of a degenerate eigenspace; a Young basis with fixed signs (ROADMAP
-item 4) would pin them.
+item 1) would pin them.
 """
 
 from __future__ import annotations

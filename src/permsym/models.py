@@ -11,6 +11,17 @@ adjacent transpositions that generate S_n.  A model is symmetric exactly
 when its stabiliser holds more than the identity.  Full symmetry, and so
 fixity, is asked of the generators only.
 
+A model is also an int.  The atoms of a domain size n and a signature
+(the relations' names and arities) are listed relation by relation in
+name order, each relation's tuples of domain positions in lexicographic
+order, and the model is the int whose set bits are its tuples' atoms,
+found by index arithmetic.  Equality and the hash compare (domain,
+signature, int), and a permutation moves the int through a list of atom
+images that is built on first use for each (n, arities) and shared by
+models on any names.  The ints and the image lists live within the atom
+budget ATOM_CAP.  Theories hold their space as a set of ints, so
+permutability, fixity and quotients are asked of ints.
+
 Two canonical sentences describe a model in the first-order language with
 equality and a name for every individual:
 
@@ -21,12 +32,12 @@ equality and a name for every individual:
 * its *structure description*: the state description with names replaced
   by variables, existentially closed — true in exactly the permute class.
 
-Theories are a shared-domain state space plus a selection function from
-opaque condition labels to subsets of the space.  A theory is
-*permutable* when every selected set is closed under the permute action
-(the semantic notion; over finite domains with the space closed under
-permutes it coincides with its syntactic counterpart), and has *fixity*
-when every selected model is fully symmetric.  Permutability is
+Theories are a state space of one domain and one signature plus a
+selection function from opaque condition labels to subsets of the space.
+A theory is *permutable* when every selected set is closed under the
+permute action (the semantic notion; over finite domains with the space
+closed under permutes it coincides with its syntactic counterpart), and
+has *fixity* when every selected model is fully symmetric.  Permutability is
 ill-posed, and raises TheoryError, when any permute of any selected model
 is missing from the state space; that is asked of every selected model
 before any selected set is read.  Fixity implies permutability;
@@ -51,7 +62,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from . import symgroup
@@ -71,7 +82,10 @@ class TheoryError(ValueError):
 # about 0.65 KB per atom with its printed or JSON form (measured at arity
 # 18 on two names), so 2**20 atoms stay within the 1 GiB that
 # hilbert.DIM_CAP allows a dense operator.  Larger enumerations are
-# refused before they start.
+# refused before they start.  A model with a tuple is an int over every
+# atom of its signature, and each of its image lists names every atom, so
+# such a model is refused past the budget too, and each (domain size,
+# arities) keeps image lists up to ATOM_CAP entries.
 ATOM_CAP = 2**20
 
 # A structure description nests one exists and one and per name, and the
@@ -100,42 +114,132 @@ class Relation:
                 raise ValueError(f"tuple {t} does not match arity {self.arity}")
 
 
+def _relation(arity: int, tuples: frozenset) -> Relation:
+    """A Relation of tuples already known to be tuples of its arity, unchecked."""
+    rel = object.__new__(Relation)
+    object.__setattr__(rel, "arity", arity)
+    object.__setattr__(rel, "tuples", tuples)
+    return rel
+
+
+class _AtomTable:
+    """The atoms of the models of one domain size and list of arities.
+
+    With n names and relations in name order, the tuple of domain positions
+    (i1, ..., ia) of relation k is atom ``offsets[k] + i1*n**(a-1) + ... + ia``.
+    The names never enter, so models on any n names share the table.  The
+    image of every atom under a permutation is a list built on its first
+    request and kept while the table holds at most ATOM_CAP entries; past
+    that, images are built per request and dropped.
+    """
+
+    def __init__(self, size: int, arities: tuple[int, ...]):
+        self.size = size
+        self.arities = arities
+        self.offsets = list(itertools.accumulate((size**a for a in arities), initial=0))
+        self.count = self.offsets.pop()
+        self.images: dict[tuple[int, ...], list[int]] = {}
+
+    def image(self, perm: Permutation) -> list[int]:
+        """The image of atom k under perm at index k."""
+        image = self.images.get(perm.images)
+        if image is None:
+            n, moved = self.size, [k - 1 for k in perm.images]
+            image = []
+            for offset, arity in zip(self.offsets, self.arities):
+                level = [0]  # on one name, every relation is the one atom 0
+                for _ in range(arity if n > 1 else 0):  # tuples one entry longer
+                    level = [r * n + q for r in level for q in moved]
+                image += [offset + a for a in level]
+            if (len(self.images) + 1) * self.count <= ATOM_CAP:
+                self.images[perm.images] = image
+        return image
+
+
+# one table per (domain size, arities), built on the first model with a tuple
+_TABLES: dict[tuple[int, tuple[int, ...]], _AtomTable] = {}
+
+
+def _table(size: int, arities: tuple[int, ...]) -> _AtomTable:
+    table = _TABLES.get((size, arities))
+    if table is None:
+        for arity in arities:
+            _check_atoms(size, arity)
+        count = sum(size**arity for arity in arities)
+        if count > ATOM_CAP:
+            raise ValueError(f"{count} atoms exceed the cap {ATOM_CAP}")
+        table = _TABLES[size, arities] = _AtomTable(size, arities)
+    return table
+
+
+def _bits(atoms: Sequence[int]) -> int:
+    """The int with exactly the given distinct atoms set."""
+    if len(atoms) < 64:
+        return sum(map((1).__lshift__, atoms))
+    # a sum of powers costs O(len * width): set the bytes instead
+    buf = bytearray(max(atoms) // 8 + 1)
+    for a in atoms:
+        buf[a >> 3] |= 1 << (a & 7)
+    return int.from_bytes(buf, "little")
+
+
 class FiniteModel:
-    """An ordered finite domain of distinct names with named relations."""
+    """An ordered finite domain of distinct names with named relations.
+
+    ``signature`` lists the relations' (name, arity) in name order, and
+    ``bits`` is the model as an int over the atoms of its domain size and
+    signature (see _AtomTable).  Equality compares (domain, signature,
+    bits), through a hash computed once.  A model with a tuple among more
+    than ATOM_CAP atoms is refused.
+    """
 
     def __init__(self, domain: Sequence[str], relations: Mapping[str, Relation]):
         domain = tuple(str(a) for a in domain)
         if not domain:
             raise ValueError("empty domain")
-        if len(set(domain)) != len(domain):
+        position = {a: k for k, a in enumerate(domain)}
+        if len(position) != len(domain):
             raise ValueError(f"domain names must be distinct: {domain}")
-        rels = {}
-        members = set(domain)
-        for name, rel in relations.items():
-            for t in rel.tuples:
-                for entry in t:
-                    if entry not in members:
-                        raise ValueError(f"relatum {entry!r} of {name} outside domain")
-            rels[str(name)] = rel
+        rels = {str(name): rel for name, rel in relations.items()}
+        signature = tuple(sorted((name, rel.arity) for name, rel in rels.items()))
+        table, atoms, n = None, [], len(domain)
+        if any(rel.tuples for rel in rels.values()):
+            table = _table(n, tuple(arity for _, arity in signature))
+            for (name, _), offset in zip(signature, table.offsets):
+                for t in rels[name].tuples:
+                    atom = 0
+                    for entry in t:
+                        k = position.get(entry)
+                        if k is None:
+                            raise ValueError(f"relatum {entry!r} of {name} outside domain")
+                        atom = atom * n + k
+                    atoms.append(offset + atom)
+        self._set(domain, rels, signature, table, atoms)
+
+    def _set(self, domain, relations, signature, table, atoms) -> None:
         self.domain = domain
-        self.relations = rels
-        self._key = (
-            domain,
-            tuple(
-                (name, rels[name].arity, tuple(sorted(rels[name].tuples)))
-                for name in sorted(rels)
-            ),
-        )
+        self.relations = relations
+        self.signature = signature
+        self._table = table
+        self._atoms = atoms
+        self.bits = _bits(atoms)
+        self._hash = hash((domain, signature, self.bits))
 
     @property
     def size(self) -> int:
         return len(self.domain)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, FiniteModel) and self._key == other._key
+        return self is other or (
+            isinstance(other, FiniteModel)
+            and self._hash == other._hash
+            and self.bits == other.bits
+            and self.signature == other.signature
+            and self.domain == other.domain
+        )
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return self._hash
 
     def __repr__(self) -> str:
         rels = {name: sorted(rel.tuples) for name, rel in sorted(self.relations.items())}
@@ -168,33 +272,52 @@ def pad_relation(model: FiniteModel, name: str, target_arity: int | None = None)
     return FiniteModel(model.domain, rels)
 
 
+def _image_atoms(perm: Permutation, model: FiniteModel) -> list[int]:
+    if not model._atoms:
+        return []
+    return list(map(model._table.image(perm).__getitem__, model._atoms))
+
+
+def _image_bits(perm: Permutation, model: FiniteModel) -> int:
+    return _bits(_image_atoms(perm, model))
+
+
 def apply_perm(perm: Permutation, model: FiniteModel) -> FiniteModel:
     """The permuted model: each relation replaced by its pointwise image
-    under the domain relabelling a_k -> a_perm(k)."""
+    under the domain relabelling a_k -> a_perm(k), its atoms mapped
+    through the permutation's atom table."""
     if perm.n != model.size:
         raise ValueError(f"permutation of 1..{perm.n} on a {model.size}-element domain")
-    rename = {model.domain[k - 1]: model.domain[perm(k) - 1] for k in range(1, perm.n + 1)}
+    domain = model.domain
+    rename = dict(zip(domain, (domain[k - 1] for k in perm.images))).__getitem__
     rels = {
-        name: Relation(rel.arity, frozenset(tuple(rename[x] for x in t) for t in rel.tuples))
+        name: _relation(rel.arity, frozenset(tuple(map(rename, t)) for t in rel.tuples))
         for name, rel in model.relations.items()
     }
-    return FiniteModel(model.domain, rels)
+    image = object.__new__(FiniteModel)
+    image._set(domain, rels, model.signature, model._table, _image_atoms(perm, model))
+    return image
 
 
-def _orbit(model: FiniteModel) -> set[FiniteModel]:
-    """The S_n-orbit of the model, unsorted: the one pass over the group."""
-    return {apply_perm(p, model) for p in symgroup.all_permutations(model.size)}
+def _orbit(model: FiniteModel) -> dict[int, Permutation]:
+    """The S_n-orbit of the model as ints, each with the first permutation
+    of :func:`permsym.symgroup.all_permutations` that reaches it: the one
+    pass over the group."""
+    orbit: dict[int, Permutation] = {}
+    for p in symgroup.all_permutations(model.size):
+        orbit.setdefault(_image_bits(p, model), p)
+    return orbit
 
 
 def permute_class(model: FiniteModel) -> list[FiniteModel]:
     """All distinct permutes of the model, sorted by serialised form."""
-    return sorted(_orbit(model), key=model_to_json)
+    return sorted((apply_perm(p, model) for p in _orbit(model).values()), key=model_to_json)
 
 
 def stabiliser(model: FiniteModel) -> list[Permutation]:
     """The permutations that fix the model, in the order of
     :func:`permsym.symgroup.all_permutations`: one pass over the group."""
-    return [p for p in symgroup.all_permutations(model.size) if apply_perm(p, model) == model]
+    return [p for p in symgroup.all_permutations(model.size) if _image_bits(p, model) == model.bits]
 
 
 def is_symmetric_model(model: FiniteModel) -> bool:
@@ -206,7 +329,7 @@ def is_fully_symmetric_model(model: FiniteModel) -> bool:
     """Every permutation fixes the model (singleton permute class), asked
     of the adjacent transpositions that generate S_n."""
     return all(
-        apply_perm(s, model) == model for s in symgroup.adjacent_transpositions(model.size)
+        _image_bits(s, model) == model.bits for s in symgroup.adjacent_transpositions(model.size)
     )
 
 
@@ -510,20 +633,27 @@ def parse_formula(text: str) -> Formula:
 
 @dataclass(frozen=True)
 class Theory:
-    """A shared-domain state space with a selection function on labels."""
+    """A state space of one domain and one signature, with a selection
+    function on labels."""
 
     space: tuple[FiniteModel, ...]
     selection: Mapping[str, tuple[int, ...]]
+    # the space as ints, built once: every model shares the domain and signature
+    bits: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.space:
             raise TheoryError("empty state space")
-        domain = self.space[0].domain
+        first = self.space[0]
         for m in self.space:
-            if m.domain != domain:
+            if m.domain != first.domain:
                 raise TheoryError("state space mixes domains")
-        if len(set(self.space)) != len(self.space):
+            if m.signature != first.signature:
+                raise TheoryError("state space mixes signatures")
+        bits = frozenset(m.bits for m in self.space)
+        if len(bits) != len(self.space):
             raise TheoryError("duplicate models in the state space")
+        object.__setattr__(self, "bits", bits)
         object.__setattr__(
             self,
             "selection",
@@ -542,24 +672,23 @@ class Theory:
 
 def is_permutable(theory: Theory) -> bool:
     """Semantic permutability: every selected set holds the orbit of each
-    of its models.  Each distinct orbit is computed once, and if any
-    permute of any selected model is missing from the state space the
-    check is ill-posed and raises, whatever the other verdicts."""
-    space = set(theory.space)
-    chosen = {label: set(theory.selected(label)) for label in theory.selection}
-    orbit_of: dict[FiniteModel, set[FiniteModel]] = {}
-    for label, picked in chosen.items():
-        for m in picked:
-            if m in orbit_of:
+    of its models, asked of ints.  Each distinct orbit is computed once,
+    and if any permute of any selected model is missing from the state
+    space the check is ill-posed and raises, whatever the other verdicts."""
+    orbit_of: dict[int, frozenset[int]] = {}
+    for label in theory.selection:
+        for m in theory.selected(label):
+            if m.bits in orbit_of:
                 continue
-            orbit = _orbit(m)
-            if not orbit <= space:
+            orbit = frozenset(_orbit(m))
+            if not orbit <= theory.bits:
                 raise TheoryError(
                     f"permute of a model selected by {label!r} is absent "
                     "from the state space"
                 )
             orbit_of.update(dict.fromkeys(orbit, orbit))
-    return all(orbit_of[m] <= picked for picked in chosen.values() for m in picked)
+    chosen = [frozenset(m.bits for m in theory.selected(label)) for label in theory.selection]
+    return all(orbit_of[b] <= picked for picked in chosen for b in picked)
 
 
 def has_fixity(theory: Theory) -> bool:
@@ -591,13 +720,20 @@ def gpc_check(theory: Theory) -> GpcReport:
 def quotient_selection(theory: Theory) -> dict[str, list[FiniteModel]]:
     """Collapse each selected set to one representative per permute class
     (the lexicographically least serialised member).  Requires a
-    permutable theory, otherwise classes would leak out of the selection."""
+    permutable theory, otherwise classes would leak out of the selection;
+    so each class is the selected models whose orbit has the same least
+    int."""
     if not is_permutable(theory):
         raise TheoryError("quotient of a non-permutable theory is ill-defined")
-    return {
-        label: sorted({permute_class(m)[0] for m in theory.selected(label)}, key=model_to_json)
-        for label in theory.selection
-    }
+    quotient = {}
+    for label in theory.selection:
+        classes: dict[int, list[FiniteModel]] = {}
+        for m in theory.selected(label):
+            classes.setdefault(min(_orbit(m)), []).append(m)
+        quotient[label] = sorted(
+            (min(members, key=model_to_json) for members in classes.values()), key=model_to_json
+        )
+    return quotient
 
 
 # ---------------------------------------------------------------------------

@@ -745,6 +745,10 @@ def test_atom_enumeration_past_the_cap_is_usage_error():
     ]
     for model, request in requests:
         assert run_with_stdin(["model", "--input", "-", *request], md.model_to_json(model)) == (2, "")
+    # a model with a tuple is an int over its 3**13 atoms: refused as it is read
+    past = json.dumps({"domain": ["a", "b", "c"], "relations": {"R": {"arity": 13, "tuples": [["a"] * 13]}}})
+    for request in ([], ["--permutes"], ["--symmetric"], ["--apply-perm", "(1 2)"]):
+        assert run_with_stdin(["model", "--input", "-", *request], past) == (2, "")
     # refused before any atom is built, not after a long enumeration
     assert time.perf_counter() - start < 5.0
 

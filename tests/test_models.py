@@ -3,11 +3,13 @@
 import itertools
 import json
 import math
+from typing import Iterable, Sequence
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from model_key import model_key
 from permsym import models as md
 from permsym import symgroup as sg
 
@@ -45,6 +47,83 @@ def test_model_equality_ignores_tuple_order():
     assert hash(m1) == hash(m2)
     assert m1 != model_ab([("a", "b")])
     assert len({m1, m2}) == 1
+
+
+def test_models_that_differ_only_by_an_empty_relation_are_unequal():
+    lone = model_ab([("a", "b")])
+    empty_s = md.FiniteModel(("a", "b"), {"R": lone.relations["R"], "S": md.Relation(1, frozenset())})
+    wide_s = md.FiniteModel(("a", "b"), {"R": lone.relations["R"], "S": md.Relation(2, frozenset())})
+    assert lone.bits == empty_s.bits == wide_s.bits
+    assert len({lone, empty_s, wide_s}) == 3
+    assert len({model_key(m) for m in (lone, empty_s, wide_s)}) == 3
+
+
+SMALL_DOMAINS = (("a", "b"), ("b", "a"), ABC)
+
+
+@st.composite
+def routed_models(draw):
+    """A small model built by the constructor, apply_perm, pad_relation or
+    model_from_json; few relations and tuples, so that equal models recur."""
+    domain = draw(st.sampled_from(SMALL_DOMAINS))
+    rels = {}
+    for name in draw(st.sets(st.sampled_from(["P", "R"]))):
+        arity = draw(st.sampled_from([1, 2]))
+        pool = list(itertools.product(domain, repeat=arity))
+        rels[name] = md.Relation(arity, frozenset(draw(st.sets(st.sampled_from(pool), max_size=2))))
+    model = md.FiniteModel(domain, rels)
+    route = draw(st.sampled_from(["constructor", "apply_perm", "pad_relation", "model_from_json"]))
+    if route == "apply_perm":
+        images = draw(st.permutations(range(1, len(domain) + 1)))
+        model = md.apply_perm(sg.Permutation(tuple(images)), model)
+    elif route == "pad_relation" and rels:
+        model = md.pad_relation(model, min(rels), 2)
+    elif route == "model_from_json":
+        model = md.model_from_json(md.model_to_json(model))
+    return model
+
+
+@settings(max_examples=150)
+@given(st.lists(routed_models(), min_size=2, max_size=8))
+def test_equality_and_hash_agree_with_the_sorted_tuple_oracle(found):
+    for m in found:  # the int agrees with the relations, however they were reached
+        rebuilt = md.FiniteModel(m.domain, m.relations)
+        assert rebuilt == m and hash(rebuilt) == hash(m) and rebuilt.bits == m.bits
+    for m1, m2 in itertools.product(found, repeat=2):
+        assert (m1 == m2) is (model_key(m1) == model_key(m2))
+        if m1 == m2:
+            assert hash(m1) == hash(m2)
+    assert len(set(found)) == len({model_key(m) for m in found})
+
+
+def test_models_reached_by_every_route_are_equal():
+    m = md.FiniteModel(ABC, {"P": md.Relation(1, frozenset({("a",)})), "S": md.Relation(2, frozenset())})
+    padded = md.FiniteModel(
+        ABC, {"P": md.Relation(2, frozenset({("a", x) for x in ABC})), "S": md.Relation(2, frozenset())}
+    )
+    swap = sg.from_cycles(3, [(1, 2)])
+    routes = [
+        md.pad_relation(m, "P", 2),
+        padded,
+        md.model_from_json(md.model_to_json(padded)),
+        md.apply_perm(swap, md.apply_perm(swap, padded)),
+    ]
+    assert len({model_key(x) for x in routes}) == 1
+    assert len(set(routes)) == 1 and len({hash(x) for x in routes}) == 1
+
+
+def test_models_of_many_tuples_keep_their_identity():
+    # 63 and 64 tuples: the int is set through both of its builders
+    names = ("a", "b", "c", "d")
+    pool = list(itertools.product(names, repeat=3))
+    cycle = sg.from_cycles(4, [(1, 2, 3, 4)])
+    for drop in (pool[:1], []):
+        m = md.FiniteModel(names, {"T": md.Relation(3, frozenset(pool) - set(drop))})
+        assert m.bits == sum(1 << k for k, t in enumerate(pool) if t not in drop)
+        moved = md.apply_perm(cycle, m)
+        rebuilt = md.FiniteModel(names, {"T": md.Relation(3, moved.relations["T"].tuples)})
+        assert moved == rebuilt and moved.bits == rebuilt.bits and hash(moved) == hash(rebuilt)
+        assert (moved == m) is (model_key(moved) == model_key(m)) is (not drop)
 
 
 def test_apply_perm_pointwise_image():
@@ -126,6 +205,102 @@ def test_atom_enumeration_past_the_cap_is_refused():
     for call in calls:
         with pytest.raises(ValueError, match="exceed the cap"):
             call()
+
+
+def test_a_model_with_a_tuple_past_the_atom_cap_is_refused():
+    with pytest.raises(ValueError, match="exceed the cap"):
+        md.FiniteModel(ABC, {"R": md.Relation(13, frozenset({("a",) * 13}))})  # 3**13 atoms
+    wide = {"R": md.Relation(40, frozenset())}
+    with pytest.raises(ValueError, match="exceed the cap"):  # atoms are counted over the signature
+        md.FiniteModel(ABC, {**wide, "S": md.Relation(1, frozenset({("a",)}))})
+    # with no tuple there is no int to build: the model permutes without a table
+    tables = dict(md._TABLES)
+    empty = md.FiniteModel(ABC, wide)
+    assert empty.bits == 0
+    assert md.permute_class(empty) == [empty]
+    assert len(md.stabiliser(empty)) == 6 and md.is_fully_symmetric_model(empty)
+    assert md._TABLES == tables
+
+
+def test_one_name_tables_ignore_the_arity():
+    # on one name every relation has one atom, whatever its arity
+    m = md.FiniteModel(["a"], {"P": md.Relation(1, frozenset({("a",)})), "W": md.Relation(10**30, frozenset())})
+    assert m.bits == 1
+    assert md.permute_class(m) == [m] and md.is_fully_symmetric_model(m)
+
+
+def test_permute_classes_on_fresh_names_share_one_atom_table(monkeypatch):
+    monkeypatch.setattr(md, "_TABLES", {})
+    for domain in (ABC, ("x", "y", "z")):
+        m = md.FiniteModel(domain, {"R": md.Relation(2, frozenset({domain[:2]}))})
+        assert len(md.permute_class(m)) == 6
+    assert list(md._TABLES) == [(3, (2,))]
+    assert len(md._TABLES[3, (2,)].images) == 6
+
+
+def test_images_past_the_table_budget_are_built_and_dropped(monkeypatch):
+    monkeypatch.setattr(md, "_TABLES", {})
+    monkeypatch.setattr(md, "ATOM_CAP", 20)  # room for two images of 9 atoms
+    lone = md.FiniteModel(ABC, {"R": md.Relation(2, frozenset({("a", "b")}))})
+    for _ in range(2):
+        cls = md.permute_class(lone)
+        assert [model_key(m)[1][0][2] for m in cls] == sorted(
+            ((x, y),) for x, y in itertools.permutations(ABC, 2)
+        )
+        assert list(md._TABLES[3, (2,)].images) == [(1, 2, 3), (1, 3, 2)]
+
+
+def burnside_counts(size: int, arities: Sequence[int]) -> list[int]:
+    """Permute classes by number of tuples, from conjugacy classes alone:
+    (1/n!) Σ_C |C|·Π(1 + x^len) over the cycles that a member of C induces
+    on the atoms (Pólya); at x = 1 this is Burnside's (1/n!) Σ_C |C|·2^c(C)."""
+    atoms = [(k, t) for k, arity in enumerate(arities) for t in itertools.product(range(1, size + 1), repeat=arity)]
+    total = [0] * (len(atoms) + 1)
+    for cls in sg.conjugacy_classes(size):
+        p, seen, poly = cls.representative, set(), [1]
+        for atom in atoms:
+            length = 0
+            while atom not in seen:
+                seen.add(atom)
+                length += 1
+                atom = (atom[0], tuple(map(p, atom[1])))
+            if length:  # poly *= 1 + x**length
+                poly = [a + (poly[k - length] if k >= length else 0) for k, a in enumerate(poly + [0] * length)]
+        total = [t + cls.size * c for t, c in zip(total, poly)]
+    assert all(t % math.factorial(size) == 0 for t in total)
+    return [t // math.factorial(size) for t in total]
+
+
+def class_counts(found: Iterable[md.FiniteModel], atoms: int) -> list[int]:
+    """Distinct permute classes by number of tuples, each named by its least member."""
+    counts = [0] * (atoms + 1)
+    for member in {md.model_to_json(md.permute_class(m)[0]): m for m in found}.values():
+        counts[sum(len(rel.tuples) for rel in member.relations.values())] += 1
+    return counts
+
+
+@pytest.mark.parametrize(
+    "size,arities",
+    [(1, {"P": 1, "R": 2}), (2, {"P": 1, "R": 2}), (3, {"P": 1, "R": 2}), (2, {"T": 3})],
+)
+def test_permute_classes_match_burnside(size, arities):
+    domain = [f"v{k}" for k in range(size)]
+    counts = burnside_counts(size, list(arities.values()))
+    assert class_counts(md.enumerate_models(domain, arities), len(counts) - 1) == counts
+
+
+def test_ternary_classes_on_three_names_match_polya_by_tuple_count():
+    # 2**27 models are too many to enumerate: compare the classes of up to 3 tuples
+    pool = list(itertools.product(ABC, repeat=3))
+    few = (
+        md.FiniteModel(ABC, {"T": md.Relation(3, frozenset(ts))})
+        for k in range(4)
+        for ts in itertools.combinations(pool, k)
+    )
+    counts = burnside_counts(3, [3])
+    assert class_counts(few, 27)[:4] == counts[:4]
+    # the identity, three swaps (14 atom cycles) and two 3-cycles (9)
+    assert sum(counts) == (2**27 + 3 * 2**14 + 2 * 2**9) // 6
 
 
 def test_enumerate_models_counts():
@@ -599,6 +774,13 @@ def test_theory_validation():
     with pytest.raises(md.TheoryError):
         bigger = md.FiniteModel(("a", "c"), {"duty": md.Relation(1, frozenset())})
         md.Theory((space[0], bigger), {})
+    # the space's ints are read over one signature
+    for other in (
+        {"duty": md.Relation(2, frozenset())},
+        {"duty": md.Relation(1, frozenset()), "rest": md.Relation(1, frozenset())},
+    ):
+        with pytest.raises(md.TheoryError, match="mixes signatures"):
+            md.Theory((space[0], md.FiniteModel(("a", "b"), other)), {})
 
 
 def test_permutability_and_fixity():
@@ -672,6 +854,16 @@ def test_permutability_is_ill_posed_whatever_the_other_verdicts():
     theory = md.Theory(space, {"s": (0, 2)})
     with pytest.raises(md.TheoryError, match="absent from the state space"):
         md.is_permutable(theory)
+
+
+def test_quotient_picks_the_least_serialised_member_not_the_least_int():
+    # in the domain order c, b, a the pair (c, b) has the least atom, and
+    # ["a", "b"] the least serialised form
+    lone = md.FiniteModel(("c", "b", "a"), {"R": md.Relation(2, frozenset({("c", "b")}))})
+    orbit = md.permute_class(lone)
+    (rep,) = md.quotient_selection(md.Theory(tuple(orbit[::-1]), {"sel": tuple(range(6))}))["sel"]
+    assert rep == orbit[0] and rep.relations["R"].tuples == {("a", "b")}
+    assert rep.bits != min(m.bits for m in orbit) == lone.bits
 
 
 def test_quotient_selection():
