@@ -18,9 +18,10 @@ order, and the model is the int whose set bits are its tuples' atoms,
 found by index arithmetic.  Equality and the hash compare (domain,
 signature, int), and a permutation moves the int through a list of atom
 images that is built on first use for each (n, arities) and shared by
-models on any names.  The ints and the image lists live within the atom
-budget ATOM_CAP.  Theories hold their space as a set of ints, so
-permutability, fixity and quotients are asked of ints.
+models on any names.  The image lists live within the atom budget
+ATOM_CAP, past which a model is permuted by index arithmetic on its
+tuples, and the ints within BIT_CAP.  Theories hold their space's ints by
+signature, so permutability, fixity and quotients are asked of ints.
 
 Two canonical sentences describe a model in the first-order language with
 equality and a name for every individual:
@@ -32,8 +33,8 @@ equality and a name for every individual:
 * its *structure description*: the state description with names replaced
   by variables, existentially closed — true in exactly the permute class.
 
-Theories are a state space of one domain and one signature plus a
-selection function from opaque condition labels to subsets of the space.
+Theories are a state space of one domain plus a selection function from
+opaque condition labels to subsets of the space.
 A theory is *permutable* when every selected set is closed under the
 permute action (the semantic notion; over finite domains with the space
 closed under permutes it coincides with its syntactic counterpart), and
@@ -82,11 +83,20 @@ class TheoryError(ValueError):
 # about 0.65 KB per atom with its printed or JSON form (measured at arity
 # 18 on two names), so 2**20 atoms stay within the 1 GiB that
 # hilbert.DIM_CAP allows a dense operator.  Larger enumerations are
-# refused before they start.  A model with a tuple is an int over every
-# atom of its signature, and each of its image lists names every atom, so
-# such a model is refused past the budget too, and each (domain size,
-# arities) keeps image lists up to ATOM_CAP entries.
+# refused before they start.  A permutation maps a model's atoms through
+# a list of one image per atom of its domain size and signature: all such
+# lists kept together hold at most ATOM_CAP entries, and past that a model
+# is permuted by index arithmetic on its tuples instead.
 ATOM_CAP = 2**20
+
+# A model with a tuple is an int of one bit per atom of its domain size and
+# signature, an eighth of a byte where a description takes 0.65 KB, so it
+# is refused only past 2**24 atoms, a 2 MiB int: three names with a 15-ary
+# tuple fit.  An orbit holds up to n! such ints, so it is not built when
+# n! ints of every atom would pass 2**33 bits (1 GiB): on 8 names, a
+# relation of arity 6 is refused there, one of arity 5 is not.
+BIT_CAP = 2**24
+ORBIT_BIT_CAP = 2**33
 
 # A structure description nests one exists and one and per name, and the
 # printer, the parser and the walker of satisfies each take about three
@@ -129,21 +139,25 @@ class _AtomTable:
     (i1, ..., ia) of relation k is atom ``offsets[k] + i1*n**(a-1) + ... + ia``.
     The names never enter, so models on any n names share the table.  The
     image of every atom under a permutation is a list built on its first
-    request and kept while the table holds at most ATOM_CAP entries; past
-    that, images are built per request and dropped.
+    request and kept, while all tables together hold at most ATOM_CAP
+    entries; past that there is none, and the model's tuples are mapped by
+    index arithmetic instead.
     """
 
-    def __init__(self, size: int, arities: tuple[int, ...]):
+    def __init__(self, size: int, arities: tuple[int, ...], offsets: list[int]):
         self.size = size
         self.arities = arities
-        self.offsets = list(itertools.accumulate((size**a for a in arities), initial=0))
-        self.count = self.offsets.pop()
+        self.offsets = offsets
+        self.count = offsets[-1]
         self.images: dict[tuple[int, ...], list[int]] = {}
 
-    def image(self, perm: Permutation) -> list[int]:
-        """The image of atom k under perm at index k."""
+    def image(self, perm: Permutation) -> list[int] | None:
+        """The image of atom k under perm at index k, or None past the budget."""
         image = self.images.get(perm.images)
         if image is None:
+            kept = sum(len(table.images) * table.count for table in _TABLES.values())
+            if kept + self.count > ATOM_CAP:
+                return None
             n, moved = self.size, [k - 1 for k in perm.images]
             image = []
             for offset, arity in zip(self.offsets, self.arities):
@@ -151,33 +165,56 @@ class _AtomTable:
                 for _ in range(arity if n > 1 else 0):  # tuples one entry longer
                     level = [r * n + q for r in level for q in moved]
                 image += [offset + a for a in level]
-            if (len(self.images) + 1) * self.count <= ATOM_CAP:
-                self.images[perm.images] = image
+            self.images[perm.images] = image
         return image
 
 
-# one table per (domain size, arities), built on the first model with a tuple
+# one table per (domain size, arities) within ATOM_CAP atoms, made on the
+# first permutation of a model with a tuple; a table without images is a
+# few ints, and the images of all tables share ATOM_CAP
 _TABLES: dict[tuple[int, tuple[int, ...]], _AtomTable] = {}
 
 
-def _table(size: int, arities: tuple[int, ...]) -> _AtomTable:
-    table = _TABLES.get((size, arities))
+def _table(model: FiniteModel) -> _AtomTable | None:
+    """The model's atom table, or None past ATOM_CAP atoms."""
+    if model._offsets[-1] > ATOM_CAP:
+        return None
+    key = (model.size, tuple(arity for _, arity in model.signature))
+    table = _TABLES.get(key)
     if table is None:
-        for arity in arities:
-            _check_atoms(size, arity)
-        count = sum(size**arity for arity in arities)
-        if count > ATOM_CAP:
-            raise ValueError(f"{count} atoms exceed the cap {ATOM_CAP}")
-        table = _TABLES[size, arities] = _AtomTable(size, arities)
+        table = _TABLES[key] = _AtomTable(*key, model._offsets)
+    model._table = table
     return table
 
 
+def _offsets(size: int, arities: Sequence[int]) -> list[int]:
+    """Each relation's first atom, then the number of atoms; refused past BIT_CAP."""
+    for arity in arities:
+        _check_atoms(size, arity, BIT_CAP)
+    offsets = list(itertools.accumulate((size**arity for arity in arities), initial=0))
+    if offsets[-1] > BIT_CAP:
+        raise ValueError(f"{offsets[-1]} atoms exceed the cap {BIT_CAP}")
+    return offsets
+
+
+def _atoms(relations, signature, offsets, position: Mapping[str, int]) -> list[int]:
+    """The atom of every tuple, each relatum a at domain position position[a]."""
+    n, atoms = len(position), []
+    for (name, _), offset in zip(signature, offsets):
+        for t in relations[name].tuples:
+            atom = 0
+            for entry in t:
+                k = position.get(entry)
+                if k is None:
+                    raise ValueError(f"relatum {entry!r} of {name} outside domain")
+                atom = atom * n + k
+            atoms.append(offset + atom)
+    return atoms
+
+
 def _bits(atoms: Sequence[int]) -> int:
-    """The int with exactly the given distinct atoms set."""
-    if len(atoms) < 64:
-        return sum(map((1).__lshift__, atoms))
-    # a sum of powers costs O(len * width): set the bytes instead
-    buf = bytearray(max(atoms) // 8 + 1)
+    """The int with exactly the given distinct atoms set, in linear time."""
+    buf = bytearray(max(atoms, default=-1) // 8 + 1)
     for a in atoms:
         buf[a >> 3] |= 1 << (a & 7)
     return int.from_bytes(buf, "little")
@@ -190,7 +227,7 @@ class FiniteModel:
     ``bits`` is the model as an int over the atoms of its domain size and
     signature (see _AtomTable).  Equality compares (domain, signature,
     bits), through a hash computed once.  A model with a tuple among more
-    than ATOM_CAP atoms is refused.
+    than BIT_CAP atoms is refused.
     """
 
     def __init__(self, domain: Sequence[str], relations: Mapping[str, Relation]):
@@ -202,24 +239,17 @@ class FiniteModel:
             raise ValueError(f"domain names must be distinct: {domain}")
         rels = {str(name): rel for name, rel in relations.items()}
         signature = tuple(sorted((name, rel.arity) for name, rel in rels.items()))
-        table, atoms, n = None, [], len(domain)
+        offsets, atoms = [0], []
         if any(rel.tuples for rel in rels.values()):
-            table = _table(n, tuple(arity for _, arity in signature))
-            for (name, _), offset in zip(signature, table.offsets):
-                for t in rels[name].tuples:
-                    atom = 0
-                    for entry in t:
-                        k = position.get(entry)
-                        if k is None:
-                            raise ValueError(f"relatum {entry!r} of {name} outside domain")
-                        atom = atom * n + k
-                    atoms.append(offset + atom)
-        self._set(domain, rels, signature, table, atoms)
+            offsets = _offsets(len(domain), [arity for _, arity in signature])
+            atoms = _atoms(rels, signature, offsets, position)
+        self._set(domain, rels, signature, offsets, None, atoms)
 
-    def _set(self, domain, relations, signature, table, atoms) -> None:
+    def _set(self, domain, relations, signature, offsets, table, atoms) -> None:
         self.domain = domain
         self.relations = relations
         self.signature = signature
+        self._offsets = offsets
         self._table = table
         self._atoms = atoms
         self.bits = _bits(atoms)
@@ -246,10 +276,10 @@ class FiniteModel:
         return f"FiniteModel(domain={list(self.domain)}, relations={rels})"
 
 
-def _check_atoms(size: int, arity: int) -> None:
+def _check_atoms(size: int, arity: int, cap: int) -> None:
     # 2**arity <= size**arity, so a long arity is refused without the power
-    if size > 1 and (arity >= ATOM_CAP.bit_length() or size**arity > ATOM_CAP):
-        raise ValueError(f"{size}**{arity} atoms exceed the cap {ATOM_CAP}")
+    if size > 1 and (arity >= cap.bit_length() or size**arity > cap):
+        raise ValueError(f"{size}**{arity} atoms exceed the cap {cap}")
 
 
 def pad_relation(model: FiniteModel, name: str, target_arity: int | None = None) -> FiniteModel:
@@ -262,7 +292,7 @@ def pad_relation(model: FiniteModel, name: str, target_arity: int | None = None)
     target = model.size if target_arity is None else target_arity
     if target < rel.arity:
         raise ValueError(f"cannot pad arity {rel.arity} down to {target}")
-    _check_atoms(model.size, target)
+    _check_atoms(model.size, target, ATOM_CAP)
     extra = target - rel.arity
     padded = frozenset(
         t + tail for t in rel.tuples for tail in itertools.product(model.domain, repeat=extra)
@@ -275,7 +305,12 @@ def pad_relation(model: FiniteModel, name: str, target_arity: int | None = None)
 def _image_atoms(perm: Permutation, model: FiniteModel) -> list[int]:
     if not model._atoms:
         return []
-    return list(map(model._table.image(perm).__getitem__, model._atoms))
+    table = model._table or _table(model)
+    image = table and table.image(perm)
+    if image is None:  # past the table budget: the constructor's arithmetic
+        moved = dict(zip(model.domain, (k - 1 for k in perm.images)))
+        return _atoms(model.relations, model.signature, model._offsets, moved)
+    return list(map(image.__getitem__, model._atoms))
 
 
 def _image_bits(perm: Permutation, model: FiniteModel) -> int:
@@ -285,7 +320,7 @@ def _image_bits(perm: Permutation, model: FiniteModel) -> int:
 def apply_perm(perm: Permutation, model: FiniteModel) -> FiniteModel:
     """The permuted model: each relation replaced by its pointwise image
     under the domain relabelling a_k -> a_perm(k), its atoms mapped
-    through the permutation's atom table."""
+    through the permutation's atom images, unvalidated."""
     if perm.n != model.size:
         raise ValueError(f"permutation of 1..{perm.n} on a {model.size}-element domain")
     domain = model.domain
@@ -294,8 +329,9 @@ def apply_perm(perm: Permutation, model: FiniteModel) -> FiniteModel:
         name: _relation(rel.arity, frozenset(tuple(map(rename, t)) for t in rel.tuples))
         for name, rel in model.relations.items()
     }
+    atoms = _image_atoms(perm, model)
     image = object.__new__(FiniteModel)
-    image._set(domain, rels, model.signature, model._table, _image_atoms(perm, model))
+    image._set(domain, rels, model.signature, model._offsets, model._table, atoms)
     return image
 
 
@@ -303,8 +339,12 @@ def _orbit(model: FiniteModel) -> dict[int, Permutation]:
     """The S_n-orbit of the model as ints, each with the first permutation
     of :func:`permsym.symgroup.all_permutations` that reaches it: the one
     pass over the group."""
+    group = symgroup.all_permutations(model.size)
+    if model._atoms and len(group) * model._offsets[-1] > ORBIT_BIT_CAP:
+        count = model._offsets[-1]
+        raise ValueError(f"{len(group)} images of {count} atoms exceed the orbit cap {ORBIT_BIT_CAP}")
     orbit: dict[int, Permutation] = {}
-    for p in symgroup.all_permutations(model.size):
+    for p in group:
         orbit.setdefault(_image_bits(p, model), p)
     return orbit
 
@@ -472,7 +512,7 @@ def _description(model: FiniteModel, term: Mapping[str, str]) -> list[tuple[int,
     the last name it mentions."""
     # the pairwise inequalities grow like one binary relation
     for arity in (2, *(rel.arity for rel in model.relations.values())):
-        _check_atoms(model.size, arity)
+        _check_atoms(model.size, arity, ATOM_CAP)
     position = {a: k for k, a in enumerate(model.domain)}
     parts: list[tuple[int, Formula]] = []
     for name in sorted(model.relations):
@@ -631,27 +671,35 @@ def parse_formula(text: str) -> Formula:
 # ---------------------------------------------------------------------------
 # theories
 
+def _ints(found: Iterable[FiniteModel]) -> dict[tuple, set[int]]:
+    """The models' ints by signature: models of two signatures may share an int."""
+    ints: dict[tuple, set[int]] = {}
+    for m in found:
+        group = ints.get(m.signature)
+        if group is None:
+            group = ints[m.signature] = set()
+        group.add(m.bits)
+    return ints
+
+
 @dataclass(frozen=True)
 class Theory:
-    """A state space of one domain and one signature, with a selection
-    function on labels."""
+    """A shared-domain state space with a selection function on labels."""
 
     space: tuple[FiniteModel, ...]
     selection: Mapping[str, tuple[int, ...]]
-    # the space as ints, built once: every model shares the domain and signature
-    bits: frozenset[int] = field(init=False, repr=False, compare=False)
+    # the space's ints by signature, built once
+    bits: dict[tuple, set[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.space:
             raise TheoryError("empty state space")
-        first = self.space[0]
+        domain = self.space[0].domain
         for m in self.space:
-            if m.domain != first.domain:
+            if m.domain != domain:
                 raise TheoryError("state space mixes domains")
-            if m.signature != first.signature:
-                raise TheoryError("state space mixes signatures")
-        bits = frozenset(m.bits for m in self.space)
-        if len(bits) != len(self.space):
+        bits = _ints(self.space)
+        if sum(map(len, bits.values())) != len(self.space):
             raise TheoryError("duplicate models in the state space")
         object.__setattr__(self, "bits", bits)
         object.__setattr__(
@@ -675,20 +723,25 @@ def is_permutable(theory: Theory) -> bool:
     of its models, asked of ints.  Each distinct orbit is computed once,
     and if any permute of any selected model is missing from the state
     space the check is ill-posed and raises, whatever the other verdicts."""
-    orbit_of: dict[int, frozenset[int]] = {}
+    orbit_of: dict[tuple, dict[int, frozenset[int]]] = {}  # by signature
     for label in theory.selection:
         for m in theory.selected(label):
-            if m.bits in orbit_of:
+            known = orbit_of.setdefault(m.signature, {})
+            if m.bits in known:
                 continue
             orbit = frozenset(_orbit(m))
-            if not orbit <= theory.bits:
+            if not orbit <= theory.bits[m.signature]:
                 raise TheoryError(
                     f"permute of a model selected by {label!r} is absent "
                     "from the state space"
                 )
-            orbit_of.update(dict.fromkeys(orbit, orbit))
-    chosen = [frozenset(m.bits for m in theory.selected(label)) for label in theory.selection]
-    return all(orbit_of[b] <= picked for picked in chosen for b in picked)
+            known.update(dict.fromkeys(orbit, orbit))
+    return all(
+        orbit_of[signature][b] <= picked
+        for label in theory.selection
+        for signature, picked in _ints(theory.selected(label)).items()
+        for b in picked
+    )
 
 
 def has_fixity(theory: Theory) -> bool:
@@ -721,15 +774,15 @@ def quotient_selection(theory: Theory) -> dict[str, list[FiniteModel]]:
     """Collapse each selected set to one representative per permute class
     (the lexicographically least serialised member).  Requires a
     permutable theory, otherwise classes would leak out of the selection;
-    so each class is the selected models whose orbit has the same least
-    int."""
+    so each class is the selected models of one signature whose orbit has
+    the same least int."""
     if not is_permutable(theory):
         raise TheoryError("quotient of a non-permutable theory is ill-defined")
     quotient = {}
     for label in theory.selection:
-        classes: dict[int, list[FiniteModel]] = {}
+        classes: dict[tuple, list[FiniteModel]] = {}
         for m in theory.selected(label):
-            classes.setdefault(min(_orbit(m)), []).append(m)
+            classes.setdefault((m.signature, min(_orbit(m))), []).append(m)
         quotient[label] = sorted(
             (min(members, key=model_to_json) for members in classes.values()), key=model_to_json
         )

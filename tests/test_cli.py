@@ -745,11 +745,27 @@ def test_atom_enumeration_past_the_cap_is_usage_error():
     ]
     for model, request in requests:
         assert run_with_stdin(["model", "--input", "-", *request], md.model_to_json(model)) == (2, "")
-    # a model with a tuple is an int over its 3**13 atoms: refused as it is read
-    past = json.dumps({"domain": ["a", "b", "c"], "relations": {"R": {"arity": 13, "tuples": [["a"] * 13]}}})
+    # refused before any atom is built, not after a long enumeration
+    assert time.perf_counter() - start < 5.0
+
+
+def test_models_past_the_image_table_budget_permute_and_wider_ones_are_refused():
+    # 3**13 atoms: more than ATOM_CAP, so permuted by index arithmetic
+    tuples = [["a"] * 13, ["a", "b"] + ["c"] * 11]
+    wide = json.dumps({"domain": ["a", "b", "c"], "relations": {"R": {"arity": 13, "tuples": tuples}}})
+    assert run_with_stdin(["model", "--input", "-"], wide) == (0, wide + "\n")
+    code, out = run_with_stdin(["model", "--input", "-", "--permutes"], wide)
+    assert code == 0 and json.loads(out)["count"] == 6
+    code, out = run_with_stdin(["model", "--input", "-", "--symmetric"], wide)
+    assert code == 0 and json.loads(out)["stabilizers"] == ["()"]
+    code, out = run_with_stdin(["model", "--input", "-", "--apply-perm", "(1 2)"], wide)
+    swapped = [["b", "a"] + ["c"] * 11, ["b"] * 13]
+    assert code == 0 and json.loads(out)["relations"]["R"]["tuples"] == swapped
+    # 3**16 atoms: past BIT_CAP the model's int is refused as it is read
+    past = json.dumps({"domain": ["a", "b", "c"], "relations": {"R": {"arity": 16, "tuples": [["a"] * 16]}}})
+    start = time.perf_counter()
     for request in ([], ["--permutes"], ["--symmetric"], ["--apply-perm", "(1 2)"]):
         assert run_with_stdin(["model", "--input", "-", *request], past) == (2, "")
-    # refused before any atom is built, not after a long enumeration
     assert time.perf_counter() - start < 5.0
 
 

@@ -113,7 +113,7 @@ def test_models_reached_by_every_route_are_equal():
 
 
 def test_models_of_many_tuples_keep_their_identity():
-    # 63 and 64 tuples: the int is set through both of its builders
+    # 63 and 64 tuples: the int's bytes end inside and at a byte boundary
     names = ("a", "b", "c", "d")
     pool = list(itertools.product(names, repeat=3))
     cycle = sg.from_cycles(4, [(1, 2, 3, 4)])
@@ -207,9 +207,35 @@ def test_atom_enumeration_past_the_cap_is_refused():
             call()
 
 
-def test_a_model_with_a_tuple_past_the_atom_cap_is_refused():
+def test_models_past_the_table_budget_permute_by_index_arithmetic(monkeypatch):
+    monkeypatch.setattr(md, "_TABLES", {})
+    # 3**13 atoms: more than ATOM_CAP, so no image list, but an int of 200 KB
+    wide13 = md.FiniteModel(ABC, {"R": md.Relation(13, frozenset({("a",) * 13, ("a", "b") + ("c",) * 11}))})
+    assert wide13.bits == 1 | 1 << 3**11 + 3**11 - 1  # atoms 0 and 1·3**11 + (3**11 - 1)
+    moved = [md.apply_perm(p, wide13) for p in sg.all_permutations(3)]
+    for m in moved:
+        rebuilt = md.FiniteModel(ABC, m.relations)
+        assert m == rebuilt and m.bits == rebuilt.bits and hash(m) == hash(rebuilt)
+    assert len({model_key(m) for m in moved}) == len(set(moved)) == 6
+    assert md.permute_class(wide13) == sorted(moved, key=md.model_to_json)
+    assert md.stabiliser(wide13) == [sg.identity(3)] and not md.is_fully_symmetric_model(wide13)
+    assert md._TABLES == {}
+    # 8 names: a 6-ary relation's orbit could hold 40320 ints of 8**6 bits
+    eight = [f"a{k}" for k in range(8)]
+    for arity, classes in ((5, 6720), (6, None)):
+        m = md.FiniteModel(eight, {"R": md.Relation(arity, frozenset({tuple(eight[:arity])}))})
+        # the names past the tuple's move freely
+        assert len(md.stabiliser(m)) == math.factorial(8 - arity) and not md.is_fully_symmetric_model(m)
+        if classes:
+            assert len(md._orbit(m)) == classes
+        else:
+            with pytest.raises(ValueError, match="orbit cap"):
+                md.permute_class(m)
+            with pytest.raises(ValueError, match="orbit cap"):
+                md.is_permutable(md.Theory((m,), {"sel": (0,)}))
+    # past BIT_CAP atoms the int itself is refused
     with pytest.raises(ValueError, match="exceed the cap"):
-        md.FiniteModel(ABC, {"R": md.Relation(13, frozenset({("a",) * 13}))})  # 3**13 atoms
+        md.FiniteModel(ABC, {"R": md.Relation(16, frozenset({("a",) * 16}))})  # 3**16 atoms
     wide = {"R": md.Relation(40, frozenset())}
     with pytest.raises(ValueError, match="exceed the cap"):  # atoms are counted over the signature
         md.FiniteModel(ABC, {**wide, "S": md.Relation(1, frozenset({("a",)}))})
@@ -238,7 +264,7 @@ def test_permute_classes_on_fresh_names_share_one_atom_table(monkeypatch):
     assert len(md._TABLES[3, (2,)].images) == 6
 
 
-def test_images_past_the_table_budget_are_built_and_dropped(monkeypatch):
+def test_permutations_past_the_table_budget_map_tuples_by_index_arithmetic(monkeypatch):
     monkeypatch.setattr(md, "_TABLES", {})
     monkeypatch.setattr(md, "ATOM_CAP", 20)  # room for two images of 9 atoms
     lone = md.FiniteModel(ABC, {"R": md.Relation(2, frozenset({("a", "b")}))})
@@ -248,6 +274,10 @@ def test_images_past_the_table_budget_are_built_and_dropped(monkeypatch):
             ((x, y),) for x, y in itertools.permutations(ABC, 2)
         )
         assert list(md._TABLES[3, (2,)].images) == [(1, 2, 3), (1, 3, 2)]
+    # the budget is shared: a second table keeps no image of its 4 atoms
+    pair = md.FiniteModel(("a", "b"), {"R": md.Relation(2, frozenset({("a", "b")}))})
+    assert len(md.permute_class(pair)) == 2
+    assert md._TABLES[2, (2,)].images == {}
 
 
 def burnside_counts(size: int, arities: Sequence[int]) -> list[int]:
@@ -774,13 +804,29 @@ def test_theory_validation():
     with pytest.raises(md.TheoryError):
         bigger = md.FiniteModel(("a", "c"), {"duty": md.Relation(1, frozenset())})
         md.Theory((space[0], bigger), {})
-    # the space's ints are read over one signature
-    for other in (
-        {"duty": md.Relation(2, frozenset())},
-        {"duty": md.Relation(1, frozenset()), "rest": md.Relation(1, frozenset())},
-    ):
-        with pytest.raises(md.TheoryError, match="mixes signatures"):
-            md.Theory((space[0], md.FiniteModel(("a", "b"), other)), {})
+
+
+def test_theories_may_mix_signatures_whose_models_share_ints():
+    # R{(a, b)} and S{(a, b)} are the same int over different signatures
+    r_ab, r_ba, s_ab, s_ba = (
+        md.FiniteModel(("a", "b"), {name: md.Relation(2, frozenset({t}))})
+        for name, t in (("R", ("a", "b")), ("R", ("b", "a")), ("S", ("a", "b")), ("S", ("b", "a")))
+    )
+    assert r_ab.bits == s_ab.bits and r_ba.bits == s_ba.bits and r_ab != s_ab
+    space = (r_ab, r_ba, s_ab)
+    assert md.Theory(space, {}).bits == {(("R", 2),): {r_ab.bits, r_ba.bits}, (("S", 2),): {s_ab.bits}}
+    with pytest.raises(md.TheoryError, match="duplicate"):
+        md.Theory(space + (r_ab,), {})
+    theory = md.Theory(space, {"r": (0, 1), "both": (0, 1, 2)})
+    assert md.is_permutable(md.Theory(space, {"r": (0, 1)}))
+    assert not md.is_permutable(md.Theory(space, {"r": (0,)}))
+    with pytest.raises(md.TheoryError, match="absent from the state space"):
+        md.is_permutable(theory)  # s_ba is missing, though r_ba has its int
+    closed = md.Theory(space + (s_ba,), {"r": (0, 1), "both": (0, 1, 2, 3)})
+    assert md.gpc_check(closed) == md.GpcReport(permutable=True, fixed=False)
+    assert not md.is_permutable(md.Theory(space + (s_ba,), {"mixed": (0, 3)}))
+    # one representative per class and signature, though the classes share ints
+    assert md.quotient_selection(closed) == {"r": [r_ab], "both": [r_ab, s_ab]}
 
 
 def test_permutability_and_fixity():
