@@ -12,13 +12,16 @@ thread count: identical argv and seed give byte-identical bytes, with
 floats in shortest round-trip form.  The ray vectors of decompose --json
 can change with the thread count, since eigh may return another basis
 of a degenerate eigenspace; a Young basis with fixed signs (ROADMAP
-item 1) would pin them.
+item 1) would pin them.  Every report is one json.dumps; decompose
+--json then places each ray vector's text, written by
+hilbert.rays_to_json, into the gap its placeholder left.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import re
@@ -31,10 +34,11 @@ from .hilbert import AssemblyConfig
 
 # Output budget of decompose --json: every ray vector is written densely,
 # D vectors of D [re, im] pairs, so D**2 pairs held as text until the
-# report is joined and printed.  That is about 45 B per pair at peak
-# (7x3: 4.8M pairs, 223 MB peak RSS and 0.55 s at one BLAS thread), so
-# 2**23 pairs, about 0.4 GB, admit 7x3 and refuse 5x5, 6x4 and 8x3.  The
-# text report writes no vectors and has no budget.
+# report is joined and printed.  That is at most about 42 B per pair at
+# peak (7x3: 4.8M pairs, 0.35 s for the whole process at one BLAS thread
+# and 159 to 190 MB peak RSS, as the freed text does or does not go back
+# to the system), so 2**23 pairs, about 0.35 GB, admit 7x3 and refuse
+# 5x5, 6x4 and 8x3.  The text report writes no vectors and has no budget.
 JSON_PAIR_CAP = 2**23
 
 
@@ -75,49 +79,8 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-class _Prewritten:
-    """JSON text that :func:`_emit_pieces` places in a report as it stands."""
-
-    __slots__ = ("text",)
-
-    def __init__(self, text: str) -> None:
-        self.text = text
-
-
-def _json_pieces(obj, pieces: list[str]) -> None:
-    """Append the text of json.dumps(obj, allow_nan=False) to pieces, with
-    each _Prewritten in obj written as its text.  Dicts and lists are
-    written piece by piece; json.dumps writes only the keys and scalars."""
-    if isinstance(obj, _Prewritten):
-        pieces.append(obj.text)
-    elif isinstance(obj, dict):
-        pieces.append("{")
-        for i, (key, value) in enumerate(obj.items()):
-            pieces.append(f"{', ' if i else ''}{json.dumps(key)}: ")
-            _json_pieces(value, pieces)
-        pieces.append("}")
-    elif isinstance(obj, list):
-        pieces.append("[")
-        for i, value in enumerate(obj):
-            if i:
-                pieces.append(", ")
-            _json_pieces(value, pieces)
-        pieces.append("]")
-    else:
-        pieces.append(json.dumps(obj, allow_nan=False))
-
-
 def _emit(obj) -> None:
     print(json.dumps(obj, allow_nan=False))
-
-
-def _emit_pieces(obj) -> None:
-    """Print obj as :func:`_emit` would, with each _Prewritten in it
-    written as its text.  Only decompose --json holds such texts; the
-    other reports are written whole, by json.dumps in C."""
-    pieces: list[str] = []
-    _json_pieces(obj, pieces)
-    print("".join(pieces))
 
 
 # ---------------------------------------------------------------------------
@@ -155,22 +118,9 @@ def _cmd_decompose(args) -> int:
                 f"{comp.copies} x dim {comp.dim_irrep} (rays: {dims})"
             )
         return 0
-    # every ray's vector texts, from one formatting pass, in report order
-    blocks = [(ray.index, ray.vectors) for comp in isotypic for ray in comp.rays]
-    texts = iter(hilbert.rays_to_json(config.dim, blocks))
-    components = [
-        {
-            "partition": list(comp.shape),
-            "rank": comp.rank,
-            "irrep_dimension": comp.dim_irrep,
-            "copies": comp.copies,
-            "rays": [
-                {"dim": ray.dim, "vectors": [_Prewritten(text) for text in next(texts)]} for ray in comp.rays
-            ],
-        }
-        for comp in isotypic
-    ]
-    _emit_pieces(
+    # each ray vector is written as "\0", which json.dumps writes as "\u0000"
+    # and no other field holds; its text then goes into that gap
+    report = json.dumps(
         {
             "command": "decompose",
             "n": args.n,
@@ -178,9 +128,24 @@ def _cmd_decompose(args) -> int:
             "seed": None,
             "tolerance": hilbert.EPS_ABS,
             "ranks": {"symmetric": r_s, "antisymmetric": r_a, "para": r_p},
-            "components": components,
-        }
+            "components": [
+                {
+                    "partition": list(comp.shape),
+                    "rank": comp.rank,
+                    "irrep_dimension": comp.dim_irrep,
+                    "copies": comp.copies,
+                    "rays": [{"dim": ray.dim, "vectors": ["\0"] * ray.dim} for ray in comp.rays],
+                }
+                for comp in isotypic
+            ],
+        },
+        allow_nan=False,
     )
+    # every ray vector's text, from one formatting pass, in report order
+    blocks = [(ray.index, ray.vectors) for comp in isotypic for ray in comp.rays]
+    texts = itertools.chain.from_iterable(hilbert.rays_to_json(config.dim, blocks))
+    gaps = report.split('"\\u0000"')
+    print("".join(itertools.chain(gaps[:1], *zip(texts, gaps[1:]))))
     return 0
 
 

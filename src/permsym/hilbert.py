@@ -212,14 +212,20 @@ def _letters(config: AssemblyConfig) -> np.ndarray:
     return np.indices((d,) * n, dtype=np.min_scalar_type(d * d)).reshape(n, config.dim)
 
 
+def _content_keys(config: AssemblyConfig) -> np.ndarray:
+    """Each word's letters, sorted and read in base d, as int64: the flat
+    index of the first word of its weight block, so below D."""
+    n, d = config.n, config.d
+    return d ** np.arange(n - 1, -1, -1, dtype=np.int64) @ np.sort(_letters(config), axis=0)
+
+
 def weight_blocks(config: AssemblyConfig) -> list[np.ndarray]:
     """Flat indices grouped by letter content mu, ascending, blocks ordered
     by first index.  Permutations keep mu, so every operator in the image
     of C[S_n] is block-diagonal over these multinomial(n; mu)-word blocks."""
-    counts = (_letters(config)[:, :, None] == np.arange(config.d)).sum(axis=0)
-    _, first, block = np.unique(counts, axis=0, return_index=True, return_inverse=True)
-    block = block.reshape(-1)
-    return [np.flatnonzero(block == b) for b in np.argsort(first)]
+    keys = _content_keys(config)
+    counts = np.unique(keys, return_counts=True)[1]
+    return np.split(np.argsort(keys, kind="stable"), np.cumsum(counts[:-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -383,21 +389,33 @@ def vector_to_json(v: np.ndarray) -> str:
     return "".join([f'{{"length": {v.shape[0]}, "data": ', *_json_pairs(v), "}"])
 
 
+def _real_json_words(flat: np.ndarray) -> np.ndarray:
+    """The word json.dumps(..., allow_nan=False) writes for each entry of a
+    flat float64 array read as complex, "[x, 0.0]", as an object array of
+    str: each distinct real, found by its bit pattern, written once, NaN
+    and inf refused as :func:`_json_words` refuses them."""
+    distinct, inverse = np.unique(flat.view(np.int64), return_inverse=True)
+    values = distinct.view(np.float64)
+    if not np.isfinite(values).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    return np.array([f"[{x!r}, 0.0]" for x in values.tolist()], dtype=object)[inverse]
+
+
 def rays_to_json(length: int, blocks: Sequence[tuple[np.ndarray, np.ndarray]]) -> list[list[str]]:
     """For each (index, columns) pair of ``blocks``, :func:`vector_to_json`
-    of each column of the length x k array that holds ``columns`` (b x k)
-    at the rows ``index`` and 0 elsewhere, without building that array.
+    of each column of the length x k array that holds ``columns`` (b x k,
+    real; complex columns are refused with TypeError) at the rows ``index``
+    and 0 elsewhere, without building that array.
 
-    The entries of every block and the zero go through one call of the
-    formatting step that :func:`vector_to_json` uses, so an entry met in
-    several blocks is formatted once; each column's text is then one join
-    over a D-length line of words, the zero word off its block.
+    The entries of every block and the zero go through one call of
+    :func:`_real_json_words`, so an entry met in several blocks is
+    formatted once; each column's text is then one join over a D-length
+    line of words, the zero word off its block.
     """
-    columns = [np.asarray(c, dtype=complex) for _, c in blocks]
-    words = _json_words(np.concatenate([np.zeros(1, dtype=complex), *(c.T.reshape(-1) for c in columns)]))
+    words = _real_json_words(np.concatenate([np.zeros(1), *(c.T.reshape(-1) for _, c in blocks)], dtype=float))
     line = np.full(length, words[0], dtype=object)
     texts, start = [], 1
-    for (index, _), c in zip(blocks, columns):
+    for index, c in blocks:
         b, k = c.shape
         block_texts = []
         for _ in range(k):

@@ -47,6 +47,7 @@ one particle the sign character is trivial.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -77,9 +78,8 @@ class SectorProjectors:
                 "sector family needs n >= 2 (for n = 1 the symmetric and "
                 "antisymmetric projectors coincide)"
             )
-        block = np.empty(config.dim, dtype=np.intp)
-        for b, index in enumerate(hilbert.weight_blocks(config)):
-            block[index] = b
+        # the weight block of each word, numbered by first index as weight_blocks orders them
+        block = np.unique(hilbert._content_keys(config), return_inverse=True)[1]
         # multinomial(n; mu) = n! only for blocks of distinct letters
         distinct = np.flatnonzero(np.bincount(block)[block] == math.factorial(n))
         letters = np.unravel_index(distinct, (config.d,) * n)
@@ -155,7 +155,7 @@ class IsotypicComponent:
     shape: tuple[int, ...]
     rays: tuple[GeneralisedRay, ...] = field(repr=False)
 
-    @property
+    @functools.cached_property
     def dim_irrep(self) -> int:
         return symgroup.irrep_dimension(self.shape)
 
@@ -182,7 +182,7 @@ def _leak(vectors: np.ndarray, maps: np.ndarray) -> float:
     """
     moved = vectors[maps]
     leak = moved - vectors @ (vectors.conj().T @ moved)
-    return float(np.max(np.linalg.norm(leak, axis=(1, 2)), initial=0.0))
+    return math.sqrt(np.max(np.einsum("sij,sij->s", leak.conj(), leak).real, initial=0.0))
 
 
 def _traces(vectors: np.ndarray, maps: np.ndarray) -> np.ndarray:

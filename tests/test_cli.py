@@ -164,10 +164,10 @@ def test_decompose_human_output(capsys):
 
 
 def test_decompose_text_report_builds_no_vectors(capsys, monkeypatch):
-    def refuse(x):
+    def refuse(length, blocks):
         raise AssertionError("the text report wrote a ray vector")
 
-    monkeypatch.setattr(hb, "_json_words", refuse)
+    monkeypatch.setattr(hb, "rays_to_json", refuse)
     code, out, _ = run_cli(capsys, ["decompose", "--n", "4", "--d", "3"])
     assert code == 0
     assert out.splitlines()[:4] == [
@@ -181,43 +181,19 @@ def test_decompose_text_report_builds_no_vectors(capsys, monkeypatch):
 @pytest.mark.parametrize("n,d", [(3, 2), (4, 3), (5, 3)])
 def test_decompose_json_formats_its_entries_in_one_pass(capsys, monkeypatch, n, d):
     calls = []
-    json_words = hb._json_words
-    monkeypatch.setattr(hb, "_json_words", lambda flat: calls.append(flat.size) or json_words(flat))
+    real_json_words = hb._real_json_words
+    monkeypatch.setattr(hb, "_real_json_words", lambda flat: calls.append(flat.size) or real_json_words(flat))
     code, out, _ = run_cli(capsys, ["decompose", "--n", str(n), "--d", str(d), "--json"])
     assert code == 0 and json.loads(out)["command"] == "decompose"
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("n,d", [(3, 3), (4, 3), (5, 3), (6, 2)])
+@pytest.mark.parametrize("n,d", [(3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (5, 3), (6, 2)])
 def test_decompose_json_is_the_dense_report(capsys, n, d):
-    # the prewritten ray vectors sit in the report as json.dumps would write them
+    # the ray vectors placed in the report's gaps read as json.dumps would write them
     code, out, _ = run_cli(capsys, ["decompose", "--n", str(n), "--d", str(d), "--json"])
     assert code == 0
     assert out == json.dumps(decompose_report(n, d), allow_nan=False) + "\n"
-
-
-@pytest.mark.parametrize(
-    "obj",
-    [
-        {},
-        [],
-        {"a": [1, 2.5, -0.0, 5e-324, True, None, "\u00e9\n"], "b": {"c": [], "d": {}}, "e": (1, [2])},
-        [[1e16, "x"], {"k": [[], [{}]]}, 1 / 3],
-        {"command": "decompose", "tolerance": hb.EPS_ABS, "seed": None, "ranks": {"para": 4}},
-    ],
-)
-def test_json_pieces_write_what_json_dumps_writes(obj):
-    pieces = []
-    cli._json_pieces(obj, pieces)
-    assert "".join(pieces) == json.dumps(obj, allow_nan=False)
-
-
-def test_json_pieces_place_prewritten_text_and_refuse_nan():
-    pieces = []
-    cli._json_pieces({"v": [cli._Prewritten('{"length": 0, "data": []}')], "n": 2}, pieces)
-    assert "".join(pieces) == '{"v": [{"length": 0, "data": []}], "n": 2}'
-    with pytest.raises(ValueError, match="Out of range float values"):
-        cli._json_pieces({"x": [math.nan]}, [])
 
 
 def test_decompose_is_byte_deterministic(capsys):

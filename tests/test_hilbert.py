@@ -416,6 +416,39 @@ def test_report_writer_refuses_nan_with_jsons_message():
     assert str(by_report.value) == str(by_json.value)
 
 
+def test_report_writer_refuses_complex_columns():
+    # a real report writes every imaginary part as 0.0, so none may be dropped
+    with pytest.raises(TypeError):
+        hb.rays_to_json(2, [(np.array([0, 1]), np.array([[0.6], [0.8j]]))])
+
+
+def blocks_by_letter_counts(cfg):
+    """Oracle: flat indices grouped by the letter counts of their words,
+    blocks in the order their first words appear."""
+    counts = np.zeros((cfg.dim, cfg.d), dtype=np.uint8)
+    for slot in np.unravel_index(np.arange(cfg.dim), (cfg.d,) * cfg.n):
+        counts[np.arange(cfg.dim), slot] += 1
+    # the rows of counts as one bytes value each, as np.unique(axis=0) reads
+    # them, without its per-column sort keys (seconds at d = 8192)
+    block = np.unique(counts.view(f"V{cfg.d}").reshape(-1), return_inverse=True)[1]
+    groups = {}
+    for word, b in enumerate(block.tolist()):
+        groups.setdefault(b, []).append(word)
+    return list(groups.values())
+
+
+@pytest.mark.parametrize("n,d", [(1, 8192), (13, 2), (2, 90), (4, 9), (6, 4)])
+def test_weight_blocks_match_grouping_by_letter_counts(n, d):
+    cfg = hb.AssemblyConfig(n, d)
+    blocks = hb.weight_blocks(cfg)
+    assert [block.tolist() for block in blocks] == blocks_by_letter_counts(cfg)
+    # each word's key is the first word of its block, below D in int64
+    keys = hb._content_keys(cfg)
+    assert keys.dtype == np.int64 and keys.max() < cfg.dim
+    for block in blocks:
+        assert np.array_equal(keys[block], np.full(len(block), block[0]))
+
+
 @pytest.mark.parametrize("n,d", [(1, 3), (3, 2), (3, 3), (4, 3), (5, 2)])
 def test_weight_blocks_group_indices_by_letter_content(n, d):
     cfg = hb.AssemblyConfig(n, d)

@@ -444,6 +444,26 @@ def test_rotated_subspace_fails_invariance_on_both_routes():
     assert residual >= max(np.linalg.norm(leak, 2) for leak in leaks)
 
 
+def test_invariance_residual_of_a_complex_basis_is_the_largest_leak_norm():
+    # the Frobenius norm sums |z|^2 of each leak entry; z^2 would let the
+    # imaginary parts cancel the real ones
+    cfg = hb.AssemblyConfig(3, 2)
+    by_shape = components_by_shape(cfg)
+    ray, other = by_shape[(2, 1)].rays
+    outside = by_shape[(3,)].rays[0].basis[:, 0]
+    basis = ray.basis * np.exp([0.4j, -1.1j])
+    basis[:, 0] = math.cos(0.3) * basis[:, 0] + 1j * math.sin(0.3) * outside
+    basis[:, 1] = math.cos(0.5) * basis[:, 1] + np.exp(0.7j) * math.sin(0.5) * other.basis[:, 1]
+    assert np.max(np.abs(basis.conj().T @ basis - np.eye(2))) < 1e-12
+    outside_span = np.eye(cfg.dim) - basis @ basis.conj().T
+    leaks = []
+    for s in sg.adjacent_transpositions(cfg.n):
+        p = np.zeros((cfg.dim, cfg.dim))
+        p[hb.perm_operator(cfg, s), np.arange(cfg.dim)] = 1.0
+        leaks.append(np.linalg.norm(outside_span @ p @ basis))
+    assert sec.invariance_residual(cfg, basis) == pytest.approx(max(leaks), rel=1e-12)
+
+
 def test_projectors_never_cross_the_group(monkeypatch):
     cfg = hb.AssemblyConfig(4, 2)
     crossings, draws = [], []
