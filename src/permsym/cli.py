@@ -34,11 +34,10 @@ from .hilbert import AssemblyConfig
 
 # Output budget of decompose --json: every ray vector is written densely,
 # D vectors of D [re, im] pairs, so D**2 pairs held as text until the
-# report is joined and printed.  That is at most about 42 B per pair at
-# peak (7x3: 4.8M pairs, 0.35 s for the whole process at one BLAS thread
-# and 159 to 190 MB peak RSS, as the freed text does or does not go back
-# to the system), so 2**23 pairs, about 0.35 GB, admit 7x3 and refuse
-# 5x5, 6x4 and 8x3.  The text report writes no vectors and has no budget.
+# report is printed.  That is about 23 B per pair at peak (7x3: 4.8M
+# pairs, 105 MB peak RSS and 0.30 s for the whole process at one BLAS
+# thread), so 2**23 pairs, about 0.2 GB, admit 7x3 and refuse 5x5, 6x4
+# and 8x3.  The text report writes no vectors and has no budget.
 JSON_PAIR_CAP = 2**23
 
 
@@ -145,7 +144,8 @@ def _cmd_decompose(args) -> int:
     blocks = [(ray.index, ray.vectors) for comp in isotypic for ray in comp.rays]
     texts = itertools.chain.from_iterable(hilbert.rays_to_json(config.dim, blocks))
     gaps = report.split('"\\u0000"')
-    print("".join(itertools.chain(gaps[:1], *zip(texts, gaps[1:]))))
+    # written piece by piece: joining them first would hold the text twice
+    sys.stdout.writelines(itertools.chain(gaps[:1], *zip(texts, gaps[1:]), ["\n"]))
     return 0
 
 
