@@ -37,6 +37,7 @@ import numpy as np
 
 from . import hilbert, models, sectors, symgroup, symmetriser
 from .hilbert import EPS_ABS, AssemblyConfig
+from .symgroup import COIN_MEASURES
 
 EPS_BLOCH = 1e-12
 
@@ -62,9 +63,6 @@ class StatisticsReport:
 
     def as_dict(self) -> dict[str, Fraction]:
         return dict(zip(self.outcomes, self.probabilities))
-
-
-COIN_MEASURES = ("bose", "maxwell_boltzmann", "fermi_dirac")
 
 
 def coin_statistics(measure: str) -> StatisticsReport:

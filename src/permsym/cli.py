@@ -15,6 +15,10 @@ of a degenerate eigenspace; a Young basis with fixed signs (ROADMAP
 item 1) would pin them.  Every report is one json.dumps; decompose
 --json then places each ray vector's text, written by
 hilbert.rays_to_json, into the gap its placeholder left.
+
+Only models and symgroup are imported with this module, so model,
+theory and the parser itself never load numpy; each other command
+imports its own layers when it runs.
 """
 
 from __future__ import annotations
@@ -27,10 +31,7 @@ import math
 import re
 import sys
 
-import numpy as np
-
-from . import casebook, hilbert, models, sectors, symgroup, symmetriser
-from .hilbert import AssemblyConfig
+from . import models, symgroup
 
 # Output budget of decompose --json: every ray vector is written densely,
 # D vectors of D [re, im] pairs, so D**2 pairs held as text until the
@@ -86,7 +87,8 @@ def _emit(obj) -> None:
 # subcommands
 
 def _cmd_decompose(args) -> int:
-    config = AssemblyConfig(args.n, args.d)
+    from . import hilbert, sectors
+    config = hilbert.AssemblyConfig(args.n, args.d)
     if config.n < 2:
         raise ValueError(
             "sector ranks need n >= 2 (for n = 1 the symmetric and "
@@ -150,14 +152,16 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_symmetrise(args) -> int:
-    config = AssemblyConfig(args.n, args.d)
+    from . import hilbert, symmetriser
+    config = hilbert.AssemblyConfig(args.n, args.d)
     a = hilbert.matrix_from_json(_read_text(args.input))
     print(hilbert.matrix_to_json(symmetriser.symmetrise(config, a)))
     return 0
 
 
 def _cmd_verify_identities(args) -> int:
-    config = AssemblyConfig(args.n, args.d)
+    from . import hilbert, symmetriser
+    config = hilbert.AssemblyConfig(args.n, args.d)
     rng = hilbert.rng_for(args.seed)
     worst_a = 0.0
     worst_b = 0.0
@@ -185,7 +189,8 @@ def _cmd_verify_identities(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    config = AssemblyConfig(args.n, args.d)
+    from . import hilbert, sectors
+    config = hilbert.AssemblyConfig(args.n, args.d)
     v = hilbert.vector_from_json(_read_text(args.input))
     fam = sectors.SectorProjectors.build(config)
     cls = sectors.classify_vector(fam, v, tol=args.tolerance)
@@ -208,7 +213,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_superselect(args) -> int:
-    config = AssemblyConfig(args.n, args.d)
+    from . import hilbert, sectors, symmetriser
+    config = hilbert.AssemblyConfig(args.n, args.d)
     w = hilbert.matrix_from_json(_read_text(args.input))
     fam = sectors.SectorProjectors.build(config)
     print(hilbert.matrix_to_json(symmetriser.superselect(fam, w)))
@@ -216,12 +222,14 @@ def _cmd_superselect(args) -> int:
 
 
 def _cmd_coins(args) -> int:
+    from . import casebook
     stats = casebook.coin_statistics(args.measure)
     _emit({k: str(v) for k, v in stats.as_dict().items()})
     return 0
 
 
 def _cmd_bloch(args) -> int:
+    from . import casebook
     if args.sweep is not None:
         rows = casebook.bloch_sweep(args.sweep)
         print("theta,phi,re_z,im_z,p,re_q,im_q,x,y,height")
@@ -264,6 +272,7 @@ def _cmd_bloch(args) -> int:
 
 
 def _cmd_fig3(args) -> int:
+    from . import casebook
     report = casebook.fig3_analysis(seed=args.seed, tol=args.tolerance)
     _emit(
         {
@@ -370,6 +379,7 @@ def _cmd_theory(args) -> int:
 
 
 def _cmd_toy_theories(args) -> int:
+    from . import casebook
     out = {}
     for name, theory in casebook.toy_theories().items():
         report = models.gpc_check(theory)
@@ -416,19 +426,19 @@ def build_parser() -> argparse.ArgumentParser:
     add_nd(p)
     p.add_argument("--samples", type=sample_count, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tolerance", type=tolerance, default=hilbert.EPS_ABS)
+    p.add_argument("--tolerance", type=tolerance)
 
     p = sub.add_parser("classify", help="sector weights of a state vector")
     add_nd(p)
     p.add_argument("--input", required=True, help="vector JSON file, or - for stdin")
-    p.add_argument("--tolerance", type=tolerance, default=hilbert.EPS_ABS)
+    p.add_argument("--tolerance", type=tolerance)
 
     p = sub.add_parser("superselect", help="pinch a state by the sector family")
     add_nd(p)
     p.add_argument("--input", required=True, help="matrix JSON file, or - for stdin")
 
     p = sub.add_parser("coins", help="two-coin toss statistics, exact fractions")
-    p.add_argument("--measure", required=True, choices=casebook.COIN_MEASURES)
+    p.add_argument("--measure", required=True, choices=symgroup.COIN_MEASURES)
 
     p = sub.add_parser("bloch", help="ratio coordinates on the two-coin ball")
     p.add_argument(
@@ -439,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fig3", help="certify the three-coin paraparticle plane")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tolerance", type=tolerance, default=hilbert.EPS_ABS)
+    p.add_argument("--tolerance", type=tolerance)
 
     p = sub.add_parser("model", help="inspect a finite model (JSON in)")
     p.add_argument("--input", required=True, help="model JSON file, or - for stdin")
@@ -460,6 +470,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _loaded(*names: str) -> tuple[type, ...]:
+    """The exception classes, named "module.Class", whose modules are
+    loaded: a module never imported cannot have raised its class."""
+    found = (name.rpartition(".") for name in names)
+    return tuple(getattr(sys.modules[module], cls) for module, _, cls in found if module in sys.modules)
+
+
 def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -467,13 +484,16 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 0 for --help; map real parse errors to 2
         return 0 if exc.code in (0, None) else 2
+    if getattr(args, "tolerance", 0.0) is None:  # not given: read here, not in the parser
+        from .hilbert import EPS_ABS
+        args.tolerance = EPS_ABS
     command = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
         return command(args)
-    except (sectors.DecompositionError, hilbert.NumericalIntegrityError) as exc:
+    except _loaded("permsym.sectors.DecompositionError", "permsym.hilbert.NumericalIntegrityError") as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
-    except (MemoryError, RecursionError, np.linalg.LinAlgError) as exc:
+    except (MemoryError, RecursionError, *_loaded("numpy.linalg.LinAlgError")) as exc:
         # before ValueError, which LinAlgError subclasses
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

@@ -47,7 +47,6 @@ one particle the sign character is trivial.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -154,10 +153,7 @@ class IsotypicComponent:
     config: AssemblyConfig
     shape: tuple[int, ...]
     rays: tuple[GeneralisedRay, ...] = field(repr=False)
-
-    @functools.cached_property
-    def dim_irrep(self) -> int:
-        return symgroup.irrep_dimension(self.shape)
+    dim_irrep: int  # f^lambda
 
     @property
     def copies(self) -> int:
@@ -284,7 +280,7 @@ def assembly_rays(config: AssemblyConfig) -> list[GeneralisedRay]:
     T_d and sum_k X_k^2, which act on S^lambda as the scalars sum of
     contents and sum of contents squared; a carried ray keeps its source's.
     Its certificate, in its own block, is three checks: the pair names a
-    partition lambda in :func:`permsym.symgroup.central_labels` (one-to-one
+    partition lambda in :func:`permsym.symgroup.young_table` (one-to-one
     for n <= 14, so within ``N_MAX``), dim v is f^lambda by the hook-length
     formula, and the leak of span(v) on the block's n-1 adjacent swaps is
     at most EPS_ABS.  An invariant span inside one joint eigenspace of
@@ -296,8 +292,13 @@ def assembly_rays(config: AssemblyConfig) -> list[GeneralisedRay]:
     and each block reads its own from them through the position of each
     word in its block.
     """
+    return _assembly_rays(config, symgroup.young_table(config.n, config.d))
+
+
+def _assembly_rays(config: AssemblyConfig, table: dict) -> list[GeneralisedRay]:
+    """:func:`assembly_rays` on a Young table that :func:`all_isotypic` reads too."""
     n, grid = config.n, (config.d,) * config.n  # flat index <-> letters
-    shapes = symgroup.central_labels(n)  # refuses n > N_MAX before any p(n) work
+    shapes = {labels: shape for shape, (labels, _, _) in table.items()}
     pairs = np.triu_indices(n, 1)  # the slot pairs k < l, in combinations order
     transpositions = [symgroup.from_cycles(n, [(k + 1, l + 1)]) for k, l in zip(*(p.tolist() for p in pairs))]
     maps = _index_maps(config, transpositions)
@@ -307,7 +308,6 @@ def assembly_rays(config: AssemblyConfig) -> list[GeneralisedRay]:
     for index in blocks:
         position[index] = np.arange(len(index))
     sources: dict = {}  # sorted content -> (letter counts, eigenspaces) of the class's first block
-    dims: dict = {}  # f^lambda of each shape met, None for labels that name none
     rays: list[GeneralisedRay] = []
     for index in blocks:
         counts = np.bincount(np.unravel_index(index[0], grid), minlength=config.d)
@@ -324,9 +324,7 @@ def assembly_rays(config: AssemblyConfig) -> list[GeneralisedRay]:
         block_adjacent = position[adjacent[:, index]]
         for labels, v in spaces:
             shape = shapes.get(labels[-2:])
-            if shape not in dims:
-                dims[shape] = symgroup.irrep_dimension(shape) if shape else None
-            want = dims[shape]
+            want = table[shape][1] if shape else None
             residual = _leak(v, block_adjacent)
             if v.shape[1] != want or residual > EPS_ABS:
                 raise DecompositionError(
@@ -334,7 +332,7 @@ def assembly_rays(config: AssemblyConfig) -> list[GeneralisedRay]:
                     f"{labels[-2:]} name {shape} of dimension {want}, invariance residual {residual:.3g}"
                 )
             rays.append(GeneralisedRay(config, shape, index, v))
-    order = {shape: k for k, shape in enumerate(shapes.values())}
+    order = {shape: k for k, shape in enumerate(table)}
     return sorted(rays, key=lambda ray: order[ray.shape])
 
 
@@ -343,11 +341,11 @@ def all_isotypic(config: AssemblyConfig) -> list[IsotypicComponent]:
     :func:`permsym.symgroup.partitions`, as the rays of
     :func:`assembly_rays` grouped by shape.  The ray count of each shape
     is checked against the hook-content formula s_lambda(1^d)."""
-    rays = assembly_rays(config)
+    table = symgroup.young_table(config.n, config.d)  # refuses n > N_MAX before any p(n) work
+    rays = _assembly_rays(config, table)
     out = []
-    for shape in symgroup.partitions(config.n):
-        component = IsotypicComponent(config, shape, tuple(r for r in rays if r.shape == shape))
-        want = symgroup.schur_at_ones(shape, config.d)
+    for shape, (_, dim_irrep, want) in table.items():
+        component = IsotypicComponent(config, shape, tuple(r for r in rays if r.shape == shape), dim_irrep)
         if component.copies != want:
             raise DecompositionError(
                 f"{component.copies} rays of shape {shape}, but s_lambda(1^d) = {want}"

@@ -7,10 +7,11 @@ on that convention.  Irreps are labelled by partitions and read through
 the contents and hook lengths of their Young diagrams: dimensions by the
 hook-length formula, tensor-power multiplicities by the hook-content
 formula, and the central labels that name a shape from the eigenvalues
-of two central elements.  All of it is exact integer arithmetic, so no
-floating point enters until operators are built on a Hilbert space.
+of two central elements, all three read by :func:`young_numbers`.  All
+of it is exact integer arithmetic, so no floating point enters until
+operators are built on a Hilbert space.
 
-Group enumeration, conjugacy classes and the central labels are capped
+Group enumeration, conjugacy classes and the Young table are capped
 at ``N_MAX`` particles; beyond that the growth of n! and p(n) is outside
 this library's scope.
 """
@@ -22,6 +23,11 @@ import math
 from dataclasses import dataclass
 
 N_MAX = 8
+
+# State counts by the S_n action on words: maxwell_boltzmann counts words,
+# bose their orbits, fermi_dirac the orbits of words of distinct letters
+# (casebook.coin_statistics); named here so the parser needs no numpy.
+COIN_MEASURES = ("bose", "maxwell_boltzmann", "fermi_dirac")
 
 
 class CapabilityError(ValueError):
@@ -281,32 +287,32 @@ def boxes(shape: tuple[int, ...]) -> list[tuple[int, int]]:
     return out
 
 
+def young_numbers(shape: tuple[int, ...], d: int) -> tuple[tuple[int, int], int, int]:
+    """From one pass over the boxes: the central labels (sum of contents,
+    sum of their squares), the eigenvalues on S^shape of sum_k X_k and
+    sum_k X_k^2 for the Jucys-Murphy elements X_k; f^shape, the irrep's
+    dimension, n! / prod of hooks; and s_shape(1^d), its multiplicity in
+    (C^d)^{x n}, prod of (d + content) / prod of hooks."""
+    cells = boxes(shape)
+    hooks = math.prod(hook for _, hook in cells)
+    labels = sum(c for c, _ in cells), sum(c * c for c, _ in cells)
+    return labels, math.factorial(sum(shape)) // hooks, math.prod(d + c for c, _ in cells) // hooks
+
+
 def irrep_dimension(shape: tuple[int, ...]) -> int:
-    """f^shape, the dimension of the irrep, by the hook-length formula
-    n! / prod over boxes of the hook length."""
-    return math.factorial(sum(shape)) // math.prod(hook for _, hook in boxes(shape))
+    """f^shape, the dimension of the irrep, by the hook-length formula."""
+    return young_numbers(shape, 0)[1]
 
 
 def schur_at_ones(shape: tuple[int, ...], d: int) -> int:
-    """s_shape(1^d): the number of semistandard tableaux of the shape with
-    entries in 1..d, which is the multiplicity of the irrep in (C^d)^{x n},
-    by the hook-content formula prod over boxes (d + content) / hook."""
-    num = den = 1
-    for content, hook in boxes(shape):
-        num *= d + content
-        den *= hook
-    return num // den
+    """s_shape(1^d) by the hook-content formula."""
+    return young_numbers(shape, d)[2]
 
 
-def central_labels(n: int) -> dict[tuple[int, int], tuple[int, ...]]:
-    """Each partition of n keyed by (sum of contents, sum of contents
-    squared), the eigenvalues on S^shape of the central elements
-    sum_k X_k (all transpositions) and sum_k X_k^2, X_k the Jucys-Murphy
-    elements.  The keys are distinct for every n <= 14; the first
-    collision, (7,4,2,2) against (6,6,1,1,1), is at n = 15."""
+def young_table(n: int, d: int) -> dict[tuple[int, ...], tuple[tuple[int, int], int, int]]:
+    """:func:`young_numbers` of each partition of n, in the order of
+    :func:`partitions`, each diagram built once.  The central labels are
+    distinct for every n <= 14; the first collision, (7,4,2,2) against
+    (6,6,1,1,1), is at n = 15."""
     _check_n(n)
-    table = {}
-    for shape in partitions(n):
-        contents = [content for content, _ in boxes(shape)]
-        table[sum(contents), sum(c * c for c in contents)] = shape
-    return table
+    return {shape: young_numbers(shape, d) for shape in partitions(n)}

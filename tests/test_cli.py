@@ -267,6 +267,22 @@ def test_verify_identities_unreachable_tolerance_fails(capsys):
     assert json.loads(out)["pass"] is False
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-identities", "--n", "2", "--d", "2", "--samples", "2"],
+        ["classify", "--n", "2", "--d", "2", "--input", "-"],
+        ["fig3"],
+    ],
+)
+def test_tolerance_defaults_to_eps_abs(capsys, monkeypatch, argv):
+    # the parser leaves --tolerance unset; run fills in hilbert's constant
+    assert cli.build_parser().parse_args(argv).tolerance is None
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"length": 4, "data": [[1, 0], [0, 0], [0, 0], [0, 0]]})))
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0 and json.loads(out)["tolerance"] == hb.EPS_ABS
+
+
 @pytest.mark.parametrize("n,d", [(3, 2), (4, 3)])
 @pytest.mark.parametrize("seed", [0, 7])
 def test_verify_identities_symmetrises_twice_per_sample(capsys, monkeypatch, n, d, seed):

@@ -557,3 +557,13 @@ def test_twirled_operators_are_schur_scalar(seed):
     rays = sec.assembly_rays(cfg)
     q = sym.symmetrise(cfg, hb.random_observable(cfg, hb.rng_for(seed)))
     assert sec.schur_check(q, rays).ok
+
+
+def test_each_young_diagram_is_built_once_per_decomposition(monkeypatch):
+    # one pass over partitions(n) gives every shape's labels, f and s
+    built = []
+    boxes = sg.boxes
+    monkeypatch.setattr(sg, "boxes", lambda shape: built.append(shape) or boxes(shape))
+    comps = sec.all_isotypic(hb.AssemblyConfig(4, 3))
+    assert built == sg.partitions(4)
+    assert [c.dim_irrep for c in comps] == [sg.irrep_dimension(c.shape) for c in comps]

@@ -135,7 +135,7 @@ def test_enumeration_capability_guard():
     with pytest.raises(sg.CapabilityError):
         sg.conjugacy_classes(sg.N_MAX + 1)
     with pytest.raises(sg.CapabilityError):
-        sg.central_labels(sg.N_MAX + 1)
+        sg.young_table(sg.N_MAX + 1, 2)
     with pytest.raises(ValueError):
         sg.all_permutations(0)
 
@@ -269,7 +269,7 @@ def test_central_labels_name_every_shape_up_to_fourteen_points():
         pairs = [content_pair(shape) for shape in sg.partitions(n)]
         assert len(set(pairs)) == len(pairs)
         if n <= sg.N_MAX:
-            assert sg.central_labels(n) == dict(zip(pairs, sg.partitions(n)))
+            assert [labels for labels, _, _ in sg.young_table(n, 2).values()] == pairs
     by_pair = {}
     for shape in sg.partitions(15):
         by_pair.setdefault(content_pair(shape), []).append(shape)
