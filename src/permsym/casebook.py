@@ -1,5 +1,8 @@
 """Worked low-dimensional cases: coin pairs, the symmetry-adapted Bloch
 ball, the smallest paraparticle geometry, and two toy selection theories.
+The exact coin statistics and the toy theories need no numpy, so they
+live in :mod:`permsym.symgroup` and :mod:`permsym.models` and are
+re-exported here.
 
 Two-sided coins are qubits (d = 2, letters H and T).  For a pair of
 bosonic coins the state space of "how many heads" has three symmetric
@@ -31,13 +34,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
-from . import hilbert, models, sectors, symgroup, symmetriser
+from . import hilbert, sectors, symgroup, symmetriser
 from .hilbert import EPS_ABS, AssemblyConfig
-from .symgroup import COIN_MEASURES
+from .models import renovators_theory, scribes_theory, toy_theories  # re-exported
+from .symgroup import COIN_MEASURES, StatisticsReport, coin_statistics  # re-exported
 
 EPS_BLOCH = 1e-12
 
@@ -47,46 +50,6 @@ EPS_BLOCH = 1e-12
 SWEEP_ROW_CAP = 2**20
 
 COIN = AssemblyConfig(2, 2)  # H = letter 0, T = letter 1
-
-
-@dataclass(frozen=True)
-class StatisticsReport:
-    """Exact outcome statistics of a two-coin toss."""
-
-    measure: str
-    outcomes: tuple[str, ...]
-    probabilities: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if sum(self.probabilities, Fraction(0)) != 1:
-            raise ValueError("probabilities must sum to exactly 1")
-
-    def as_dict(self) -> dict[str, Fraction]:
-        return dict(zip(self.outcomes, self.probabilities))
-
-
-def coin_statistics(measure: str) -> StatisticsReport:
-    """Toss statistics for a pair of coins under the named state count.
-
-    bose: the three symmetric states HH, (HT+TH)/sqrt(2), TT weighted
-    equally, so "one of each" gets 1/3, not the naive 1/2.
-    maxwell_boltzmann: distinguishable coins, four outcomes at 1/4.
-    fermi_dirac: a single antisymmetric state exists, so "one of each"
-    is certain.
-    """
-    third = Fraction(1, 3)
-    if measure == "bose":
-        return StatisticsReport("bose", ("HH", "mixed", "TT"), (third, third, third))
-    if measure == "maxwell_boltzmann":
-        quarter = Fraction(1, 4)
-        return StatisticsReport(
-            "maxwell_boltzmann", ("HH", "HT", "TH", "TT"), (quarter,) * 4
-        )
-    if measure == "fermi_dirac":
-        return StatisticsReport(
-            "fermi_dirac", ("HH", "mixed", "TT"), (Fraction(0), Fraction(1), Fraction(0))
-        )
-    raise ValueError(f"unknown measure {measure!r}, expected one of {COIN_MEASURES}")
 
 
 # ---------------------------------------------------------------------------
@@ -372,34 +335,3 @@ def fig3_analysis(seed: int = 0, tol: float = EPS_ABS) -> Fig3Report:
         expectation_spread=spread,
         no_fermion_residual=no_fermion,
     )
-
-
-# ---------------------------------------------------------------------------
-# toy selection theories
-
-def renovators_theory() -> models.Theory:
-    """Three interchangeable renovators, one job each; the theory selects
-    every way of handing out the jobs, so it is permutable but keeps
-    selecting asymmetric worlds (no fixity)."""
-    domain = ("r1", "r2", "r3")
-    jobs = ("wires", "plumbs", "paints")
-    base = models.FiniteModel(
-        domain,
-        {job: models.Relation(1, frozenset({(worker,)})) for job, worker in zip(jobs, domain)},
-    )
-    space = models.permute_class(base)
-    return models.Theory(tuple(space), {"workday": tuple(range(len(space)))})
-
-
-def scribes_theory() -> models.Theory:
-    """Three scribes who always act in unison (all copy, or all rest):
-    every selected world is fully symmetric, so the theory has fixity."""
-    domain = ("s1", "s2", "s3")
-    everyone = frozenset((s,) for s in domain)
-    copying = models.FiniteModel(domain, {"copies": models.Relation(1, everyone)})
-    resting = models.FiniteModel(domain, {"copies": models.Relation(1, frozenset())})
-    return models.Theory((copying, resting), {"workday": (0,), "restday": (1,)})
-
-
-def toy_theories() -> dict[str, models.Theory]:
-    return {"renovators": renovators_theory(), "scribes": scribes_theory()}

@@ -17,8 +17,8 @@ item 1) would pin them.  Every report is one json.dumps; decompose
 hilbert.rays_to_json, into the gap its placeholder left.
 
 Only models and symgroup are imported with this module, so model,
-theory and the parser itself never load numpy; each other command
-imports its own layers when it runs.
+theory, coins, toy-theories and the parser itself never load numpy;
+each other command imports its own layers when it runs.
 """
 
 from __future__ import annotations
@@ -222,8 +222,7 @@ def _cmd_superselect(args) -> int:
 
 
 def _cmd_coins(args) -> int:
-    from . import casebook
-    stats = casebook.coin_statistics(args.measure)
+    stats = symgroup.coin_statistics(args.measure)
     _emit({k: str(v) for k, v in stats.as_dict().items()})
     return 0
 
@@ -379,9 +378,8 @@ def _cmd_theory(args) -> int:
 
 
 def _cmd_toy_theories(args) -> int:
-    from . import casebook
     out = {}
-    for name, theory in casebook.toy_theories().items():
+    for name, theory in models.toy_theories().items():
         report = models.gpc_check(theory)
         out[name] = {
             "theory": models.theory_obj(theory),

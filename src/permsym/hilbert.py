@@ -35,7 +35,6 @@ from .symgroup import Permutation
 # labels add D**2 (n + 8) bytes), the rays and the sector family none.
 # Larger assemblies are refused before anything is allocated.
 DIM_CAP = 2**13
-EPS_NORM = 1e-10
 EPS_ABS = 1e-10
 
 
@@ -121,8 +120,8 @@ class StateVector:
         v = _as_vector(self.config, self.amplitudes)
         object.__setattr__(self, "amplitudes", v)
         norm = float(np.linalg.norm(v))
-        if abs(norm - 1.0) > EPS_NORM:
-            raise ValueError(f"state vector norm {norm} is not 1 within {EPS_NORM}")
+        if abs(norm - 1.0) > EPS_ABS:
+            raise ValueError(f"state vector norm {norm} is not 1 within {EPS_ABS}")
 
     def projector(self) -> np.ndarray:
         return np.outer(self.amplitudes, self.amplitudes.conj())
@@ -193,7 +192,7 @@ def product_state(config: AssemblyConfig, factors: Sequence[np.ndarray]) -> Stat
         if f.shape != (config.d,):
             raise ValueError(f"factor shape {f.shape} is not ({config.d},)")
         norm = float(np.linalg.norm(f))
-        if norm <= EPS_NORM:
+        if norm <= EPS_ABS:
             raise ValueError("zero local factor gives no state")
         out = np.kron(out, f / norm)
     return StateVector(config, out)

@@ -34,7 +34,8 @@ equality and a name for every individual:
   by variables, existentially closed — true in exactly the permute class.
 
 Theories are a state space of one domain plus a selection function from
-opaque condition labels to subsets of the space.
+opaque condition labels to subsets of the space; two toy theories, the
+renovators and the scribes, are built at the end of this module.
 A theory is *permutable* when every selected set is closed under the
 permute action (the semantic notion; over finite domains with the space
 closed under permutes it coincides with its syntactic counterpart), and
@@ -787,6 +788,37 @@ def quotient_selection(theory: Theory) -> dict[str, list[FiniteModel]]:
             (min(members, key=model_to_json) for members in classes.values()), key=model_to_json
         )
     return quotient
+
+
+# ---------------------------------------------------------------------------
+# toy selection theories
+
+def renovators_theory() -> Theory:
+    """Three interchangeable renovators, one job each; the theory selects
+    every way of handing out the jobs, so it is permutable but keeps
+    selecting asymmetric worlds (no fixity)."""
+    domain = ("r1", "r2", "r3")
+    jobs = ("wires", "plumbs", "paints")
+    base = FiniteModel(
+        domain,
+        {job: Relation(1, frozenset({(worker,)})) for job, worker in zip(jobs, domain)},
+    )
+    space = permute_class(base)
+    return Theory(tuple(space), {"workday": tuple(range(len(space)))})
+
+
+def scribes_theory() -> Theory:
+    """Three scribes who always act in unison (all copy, or all rest):
+    every selected world is fully symmetric, so the theory has fixity."""
+    domain = ("s1", "s2", "s3")
+    everyone = frozenset((s,) for s in domain)
+    copying = FiniteModel(domain, {"copies": Relation(1, everyone)})
+    resting = FiniteModel(domain, {"copies": Relation(1, frozenset())})
+    return Theory((copying, resting), {"workday": (0,), "restday": (1,)})
+
+
+def toy_theories() -> dict[str, Theory]:
+    return {"renovators": renovators_theory(), "scribes": scribes_theory()}
 
 
 # ---------------------------------------------------------------------------

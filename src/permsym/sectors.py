@@ -29,9 +29,13 @@ Invariance is asked of the n-1 adjacent transpositions only: they
 generate S_n, and a residual r on them bounds that of any pi by
 l(pi) r, l(pi) <= C(n, 2) its length as a word in them.  The split
 builds the C(n, 2) transposition index maps once, on the whole space;
-each block reads its own from them, the first of each class builds each
-refiner by one bincount of their entries, and every block runs the leak
-on its rays' real vectors as one gather over the n-1 adjacent swaps.
+each block reads its own from them, and every block runs the leak on
+its rays' real vectors as one gather over the n-1 adjacent swaps.
+Every refiner is a sum of permutation matrices, so the first block of
+each class builds each one as one bincount of index-map entries, with
+no matrix product: T_m of its transpositions' maps, and sum_k X_k^2,
+which expands to sum_k sum_{i,j<k} P((i k)) P((j k)), of the composed
+maps of every ordered pair of transpositions sharing their larger slot.
 :func:`invariance_residual` runs the same leak on the whole space, and
 :func:`compressed_commutant_dimension` reads the character norm there
 from class traces.
@@ -224,21 +228,22 @@ def _block_operators(
     slot pairs k < l of the transpositions (k l) in
     :func:`itertools.combinations` order, and row r of ``swaps`` is the
     block's index map of the r-th of them.  The block's letters are read
-    from its own flat indices, and each T_m and X_k is one bincount of
-    the entries (t[j], j) of the transpositions it keeps."""
-    n, b = config.n, len(index)
-    letters = np.array(np.unravel_index(index, (config.d,) * n))
+    from its own flat indices.  Every refiner is a sum of permutation
+    matrices, so each is one bincount of the entries (t[j], j) of the
+    index maps t it keeps: for T_m the maps of the transpositions whose
+    larger letter is below m, and for sum_k X_k^2, which expands to
+    sum_k sum_{i,j<k} P((i k)) P((j k)), the composed maps t_r[t_s] of
+    every ordered pair of transpositions sharing their larger slot, r = s
+    included."""
+    b = len(index)
+    letters = np.array(np.unravel_index(index, (config.d,) * config.n))
     k, l = pairs
     cells = swaps * b + np.arange(b)  # flat (row, column) of P((k l)) e_j = e_t[j]
     top = np.maximum(letters[k], letters[l])  # the larger letter the swap moves
-
-    def count(kept: np.ndarray) -> np.ndarray:
-        return np.bincount(kept.reshape(-1), minlength=b * b).reshape(b, b).astype(float)
-
-    ops = [count(cells[top < m]) for m in range(2, config.d)] + [count(cells)]
-    jucys_murphy = [count(cells[l == slot]) for slot in range(1, n)]
-    ops.append(sum((x @ x for x in jucys_murphy), np.zeros((b, b))))
-    return ops
+    r, s = np.nonzero(l[:, None] == l[None, :])
+    squares = np.take_along_axis(swaps[r], swaps[s], axis=1) * b + np.arange(b)  # P(r) P(s) e_j = e_t_r[t_s[j]]
+    kept = [cells[top < m] for m in range(2, config.d)] + [cells, squares]
+    return [np.bincount(c.reshape(-1), minlength=b * b).reshape(b, b).astype(float) for c in kept]
 
 
 def _eigenspaces(ops: list[np.ndarray]) -> list[tuple[tuple[int, ...], np.ndarray]]:
@@ -375,7 +380,7 @@ def classify_vector(
     """
     v = hilbert._as_vector(sectors.config, v)
     norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > hilbert.EPS_NORM:
+    if abs(norm - 1.0) > EPS_ABS:
         raise ValueError(f"classify_vector needs a normalized vector, norm {norm}")
     ws, wa, wp = (float(np.linalg.norm(part) ** 2) for part in sectors.split(v))
     if ws >= 1.0 - tol:

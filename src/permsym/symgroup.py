@@ -14,6 +14,10 @@ operators are built on a Hilbert space.
 Group enumeration, conjugacy classes and the Young table are capped
 at ``N_MAX`` particles; beyond that the growth of n! and p(n) is outside
 this library's scope.
+
+The exact toss statistics of two coins under the three state counts,
+:func:`coin_statistics`, are counts of words and of their S_2-orbits,
+so they live here too, in ``Fraction``s, with no numpy.
 """
 
 from __future__ import annotations
@@ -21,13 +25,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 N_MAX = 8
-
-# State counts by the S_n action on words: maxwell_boltzmann counts words,
-# bose their orbits, fermi_dirac the orbits of words of distinct letters
-# (casebook.coin_statistics); named here so the parser needs no numpy.
-COIN_MEASURES = ("bose", "maxwell_boltzmann", "fermi_dirac")
 
 
 class CapabilityError(ValueError):
@@ -290,9 +290,12 @@ def boxes(shape: tuple[int, ...]) -> list[tuple[int, int]]:
 def young_numbers(shape: tuple[int, ...], d: int) -> tuple[tuple[int, int], int, int]:
     """From one pass over the boxes: the central labels (sum of contents,
     sum of their squares), the eigenvalues on S^shape of sum_k X_k and
-    sum_k X_k^2 for the Jucys-Murphy elements X_k; f^shape, the irrep's
-    dimension, n! / prod of hooks; and s_shape(1^d), its multiplicity in
-    (C^d)^{x n}, prod of (d + content) / prod of hooks."""
+    sum_k X_k^2 for the Jucys-Murphy elements X_k = sum_{j<k} (j k);
+    f^shape, the irrep's dimension, n! / prod of hooks; and s_shape(1^d),
+    its multiplicity in (C^d)^{x n}, prod of (d + content) / prod of hooks.
+    sum_k X_k is the class sum of the transpositions, and sum_k X_k^2 =
+    sum_k sum_{i,j<k} (i k)(j k) is C(n, 2) times the identity (i = j)
+    plus the class sum of the 3-cycles (i != j, each 3-cycle once)."""
     cells = boxes(shape)
     hooks = math.prod(hook for _, hook in cells)
     labels = sum(c for c, _ in cells), sum(c * c for c, _ in cells)
@@ -316,3 +319,51 @@ def young_table(n: int, d: int) -> dict[tuple[int, ...], tuple[tuple[int, int], 
     (6,6,1,1,1), is at n = 15."""
     _check_n(n)
     return {shape: young_numbers(shape, d) for shape in partitions(n)}
+
+
+# ---------------------------------------------------------------------------
+# two-coin state counts
+
+# State counts by the S_n action on words: maxwell_boltzmann counts words,
+# bose their orbits, fermi_dirac the orbits of words of distinct letters.
+COIN_MEASURES = ("bose", "maxwell_boltzmann", "fermi_dirac")
+
+
+@dataclass(frozen=True)
+class StatisticsReport:
+    """Exact outcome statistics of a two-coin toss."""
+
+    measure: str
+    outcomes: tuple[str, ...]
+    probabilities: tuple[Fraction, ...]
+
+    def __post_init__(self) -> None:
+        if sum(self.probabilities, Fraction(0)) != 1:
+            raise ValueError("probabilities must sum to exactly 1")
+
+    def as_dict(self) -> dict[str, Fraction]:
+        return dict(zip(self.outcomes, self.probabilities))
+
+
+def coin_statistics(measure: str) -> StatisticsReport:
+    """Toss statistics for a pair of coins under the named state count.
+
+    bose: the three symmetric states HH, (HT+TH)/sqrt(2), TT weighted
+    equally, so "one of each" gets 1/3, not the naive 1/2.
+    maxwell_boltzmann: distinguishable coins, four outcomes at 1/4.
+    fermi_dirac: a single antisymmetric state exists, so "one of each"
+    is certain.
+    """
+    third = Fraction(1, 3)
+    if measure == "bose":
+        return StatisticsReport("bose", ("HH", "mixed", "TT"), (third, third, third))
+    if measure == "maxwell_boltzmann":
+        quarter = Fraction(1, 4)
+        return StatisticsReport(
+            "maxwell_boltzmann", ("HH", "HT", "TH", "TT"), (quarter,) * 4
+        )
+    if measure == "fermi_dirac":
+        return StatisticsReport(
+            "fermi_dirac", ("HH", "mixed", "TT"), (Fraction(0), Fraction(1), Fraction(0))
+        )
+    raise ValueError(f"unknown measure {measure!r}, expected one of {COIN_MEASURES}")

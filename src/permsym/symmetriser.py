@@ -83,13 +83,22 @@ def symmetrise(config: AssemblyConfig, a: np.ndarray) -> np.ndarray:
     Entry (i, j) of the average is the mean of A over the S_n-orbit of the
     index pair (i, j), read here from orbit labels with no pass over S_n.
     """
-    a = hilbert._as_square(config, a)
+    return _symmetrise_each(config, a)[0]
+
+
+def _symmetrise_each(config: AssemblyConfig, *operators: np.ndarray) -> list[np.ndarray]:
+    """Sigma of each operator, all read from one set of pair-orbit labels
+    and orbit sizes."""
+    operators = tuple(hilbert._as_square(config, a) for a in operators)
     label = _pair_orbit_labels(config)
     orbit_size = np.bincount(label)[label]
-    out = np.empty(a.size, dtype=complex)
-    out.real = np.bincount(label, weights=a.real.reshape(-1))[label] / orbit_size
-    out.imag = np.bincount(label, weights=a.imag.reshape(-1))[label] / orbit_size
-    return out.reshape(a.shape)
+    images = []
+    for a in operators:
+        out = np.empty(a.size, dtype=complex)
+        out.real = np.bincount(label, weights=a.real.reshape(-1))[label] / orbit_size
+        out.imag = np.bincount(label, weights=a.imag.reshape(-1))[label] / orbit_size
+        images.append(out.reshape(a.shape))
+    return images
 
 
 def sim_equivalent(
@@ -100,15 +109,15 @@ def sim_equivalent(
     ~-equivalent states give identical expectations on every symmetric
     observable, and conversely.
     """
-    return float(np.max(np.abs(symmetrise(config, a) - symmetrise(config, b)))) <= tol
+    sa, sb = _symmetrise_each(config, a, b)
+    return float(np.max(np.abs(sa - sb))) <= tol
 
 
 def trace_identity_residuals(
     config: AssemblyConfig, w: np.ndarray, q: np.ndarray
 ) -> tuple[float, float]:
     """Residuals of identities (a) and (b), from one Sigma(W) and one Sigma(Q)."""
-    sw = symmetrise(config, w)
-    sq = symmetrise(config, q)
+    sw, sq = _symmetrise_each(config, w, q)
     both = complex(np.sum(sw.T * sq))
     return (
         abs(complex(np.sum(sw.T * q)) - both),

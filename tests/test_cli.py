@@ -296,12 +296,14 @@ def test_verify_identities_symmetrises_twice_per_sample(capsys, monkeypatch, n, 
         sw, sq = sym.symmetrise(config, w), sym.symmetrise(config, q)
         worst_a = max(worst_a, abs(complex(np.sum(sw.T * q)) - complex(np.sum(sw.T * sq))))
         worst_b = max(worst_b, abs(complex(np.sum(w.T * sq)) - complex(np.sum(sw.T * sq))))
-    calls = []
-    symmetrise = sym.symmetrise
-    monkeypatch.setattr(sym, "symmetrise", lambda *a: calls.append(a) or symmetrise(*a))
+    # each sample symmetrises W and Q once each, from one set of pair-orbit labels
+    operands, labels = [], []
+    symmetrise_each, pair_orbit_labels = sym._symmetrise_each, sym._pair_orbit_labels
+    monkeypatch.setattr(sym, "_symmetrise_each", lambda c, *ops: operands.extend(ops) or symmetrise_each(c, *ops))
+    monkeypatch.setattr(sym, "_pair_orbit_labels", lambda c: labels.append(c) or pair_orbit_labels(c))
     argv = ["verify-identities", "--n", str(n), "--d", str(d), "--samples", "3", "--seed", str(seed)]
     code, out, _ = run_cli(capsys, argv)
-    assert (code, len(calls)) == (0, 6)
+    assert (code, len(operands), len(labels)) == (0, 6, 3)
     report = json.loads(out)
     assert (report["max_residual_a"], report["max_residual_b"]) == (worst_a, worst_b)
     assert out == json.dumps(report) + "\n"

@@ -9,11 +9,20 @@ from pathlib import Path
 import pytest
 
 import permsym
+from permsym import symgroup
 
 SRC = Path(permsym.__file__).resolve().parents[1]
 MODEL = {"domain": ["a", "b", "c"], "relations": {"R": {"arity": 2, "tuples": [["a", "b"], ["b", "c"]]}}}
 EVERYONE = {"domain": ["a", "b"], "relations": {"P": {"arity": 1, "tuples": [["a"], ["b"]]}}}
 THEORY = {"space": [EVERYONE], "selection": {"s": [0]}}  # fixed, so consistent
+# cli.run on argv with its output swallowed; prints the exit code and whether numpy loaded
+RUN = (
+    "import contextlib, io, sys\n"
+    "from permsym import cli\n"
+    "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+    "    code = cli.run(sys.argv[1:])\n"
+    "print(code, 'numpy' in sys.modules)\n"
+)
 
 
 def fresh(code: str, *argv: str) -> str:
@@ -56,14 +65,14 @@ def test_model_theory_and_parser_never_import_numpy(tmp_path, command, code):
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps(obj))
     argv = [arg.format(**paths) for arg in command]
-    script = (
-        "import contextlib, io, sys\n"
-        "from permsym import cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
-        "    code = cli.run(sys.argv[1:])\n"
-        "print(code, 'numpy' in sys.modules)\n"
-    )
-    assert fresh(script, *argv) == f"{code} False\n"
+    assert fresh(RUN, *argv) == f"{code} False\n"
+
+
+@pytest.mark.parametrize(
+    "command", [["toy-theories"]] + [["coins", "--measure", measure] for measure in symgroup.COIN_MEASURES]
+)
+def test_coins_and_toy_theories_never_import_numpy(command):
+    assert fresh(RUN, *command) == "0 False\n"
 
 
 def test_every_public_name_resolves_lazily_and_star_import_binds_them():

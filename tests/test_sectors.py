@@ -350,6 +350,46 @@ def test_carried_rays_are_the_relabelled_rows_of_their_source(n, d):
         assert sec.compressed_commutant_dimension(cfg, ray.basis) == 1
 
 
+def jucys_murphy_square_sum(cfg, index):
+    """The product form of the last refiner on a weight block: each
+    X_k = sum_{j<k} P((j k)) as a dense 0/1 matrix on the block's words,
+    read from the transpositions' index maps, then sum_k X_k @ X_k."""
+    b = len(index)
+    row = {int(word): r for r, word in enumerate(index)}
+    total = np.zeros((b, b))
+    for k in range(2, cfg.n + 1):
+        x = np.zeros((b, b))
+        for j in range(1, k):
+            t = hb.perm_operator(cfg, sg.from_cycles(cfg.n, [(j, k)]))
+            x[[row[int(t[word])] for word in index], np.arange(b)] += 1  # P e_w = e_t[w]
+        total += x @ x
+    return total
+
+
+@pytest.mark.parametrize("n,d,content", [(4, 3, None), (5, 3, None), (6, 2, None), (6, 3, None), (8, 3, (3, 3, 2))])
+def test_counted_jucys_murphy_squares_equal_their_matrix_products(n, d, content, monkeypatch):
+    # the split counts sum_k X_k^2 from composed transposition maps; it is
+    # the same integer matrix as the sum of the squared X_k, on the first
+    # block of every content class (or on the one block of content
+    # (3, 3, 2) at 8x3, b = 560), so eigh receives the same array
+    cfg = hb.AssemblyConfig(n, d)
+    blocks = hb.weight_blocks(cfg)
+    if content:
+        blocks = [index for index in blocks if tuple(np.bincount(cfg.letters(int(index[0])), minlength=d)) == content]
+        monkeypatch.setattr(hb, "weight_blocks", lambda config: blocks)
+    split = []
+    operators = sec._block_operators
+    monkeypatch.setattr(sec, "_block_operators", lambda *args: split.append((args[1], operators(*args))) or split[-1][1])
+    sec.assembly_rays(cfg)
+    monkeypatch.undo()
+    assert len(split) == len({content_class(cfg, index) for index in blocks})
+    for index, ops in split:
+        assert ops[-1].dtype == np.float64
+        assert np.array_equal(ops[-1], jucys_murphy_square_sum(cfg, index))
+    if content:
+        assert [len(index) for index, _ in split] == [560]
+
+
 @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (2, 3), (3, 3)])
 def test_assembly_rays_exhaust_the_space(n, d):
     cfg = hb.AssemblyConfig(n, d)

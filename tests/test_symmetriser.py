@@ -159,6 +159,23 @@ def test_sim_equivalence_reflexive_and_respects_twirl():
         assert sym.sim_equivalent(cfg, w, w[np.ix_(t, t)])
 
 
+def test_two_operand_calls_build_the_pair_orbit_labels_once(monkeypatch):
+    # sim_equivalent and trace_identity_residuals symmetrise both operands
+    # from one set of labels, and read the same Sigma as symmetrise does
+    cfg = hb.AssemblyConfig(4, 3)
+    rng = hb.rng_for(5)
+    w, q = hb.random_density(cfg, rng), hb.random_observable(cfg, rng)
+    sw, sq = sym.symmetrise(cfg, w), sym.symmetrise(cfg, q)
+    both = complex(np.sum(sw.T * sq))
+    oracle = (abs(complex(np.sum(sw.T * q)) - both), abs(complex(np.sum(w.T * sq)) - both))
+    labels = []
+    pair_orbit_labels = sym._pair_orbit_labels
+    monkeypatch.setattr(sym, "_pair_orbit_labels", lambda config: labels.append(config) or pair_orbit_labels(config))
+    assert sym.trace_identity_residuals(cfg, w, q) == oracle
+    assert sym.sim_equivalent(cfg, w, sw) and not sym.sim_equivalent(cfg, w, q)
+    assert labels == [cfg] * 3
+
+
 def test_sym_class_membership():
     w1, w2 = underdetermined_mixture()
     assert sym.sim_equivalent(COIN, w1, w2)
