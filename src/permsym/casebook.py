@@ -1,8 +1,8 @@
 """Worked low-dimensional cases: coin pairs, the symmetry-adapted Bloch
-ball, the smallest paraparticle geometry, and two toy selection theories.
-The exact coin statistics and the toy theories need no numpy, so they
-live in :mod:`permsym.symgroup` and :mod:`permsym.models` and are
-re-exported here.
+ball and the smallest paraparticle geometry.  The exact coin statistics
+(:func:`permsym.symgroup.coin_statistics`) and the two toy selection
+theories (:func:`permsym.models.toy_theories`) need no numpy, so they live
+there.
 
 Two-sided coins are qubits (d = 2, letters H and T).  For a pair of
 bosonic coins the state space of "how many heads" has three symmetric
@@ -39,8 +39,6 @@ import numpy as np
 
 from . import hilbert, sectors, symgroup, symmetriser
 from .hilbert import EPS_ABS, AssemblyConfig
-from .models import renovators_theory, scribes_theory, toy_theories  # re-exported
-from .symgroup import COIN_MEASURES, StatisticsReport, coin_statistics  # re-exported
 
 EPS_BLOCH = 1e-12
 

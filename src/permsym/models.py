@@ -16,12 +16,10 @@ A model is also an int.  The atoms of a domain size n and a signature
 name order, each relation's tuples of domain positions in lexicographic
 order, and the model is the int whose set bits are its tuples' atoms,
 found by index arithmetic.  Equality and the hash compare (domain,
-signature, int), and a permutation moves the int through a list of atom
-images that is built on first use for each (n, arities) and shared by
-models on any names.  The image lists live within the atom budget
-ATOM_CAP, past which a model is permuted by index arithmetic on its
-tuples, and the ints within BIT_CAP.  Theories hold their space's ints by
-signature, so permutability, fixity and quotients are asked of ints.
+signature, int), and a permutation moves the int by the same arithmetic,
+each name read at its image's position.  The ints live within BIT_CAP.
+Theories hold their space's ints with their signatures, so
+permutability, fixity and quotients are asked of ints.
 
 Two canonical sentences describe a model in the first-order language with
 equality and a name for every individual:
@@ -84,10 +82,7 @@ class TheoryError(ValueError):
 # about 0.65 KB per atom with its printed or JSON form (measured at arity
 # 18 on two names), so 2**20 atoms stay within the 1 GiB that
 # hilbert.DIM_CAP allows a dense operator.  Larger enumerations are
-# refused before they start.  A permutation maps a model's atoms through
-# a list of one image per atom of its domain size and signature: all such
-# lists kept together hold at most ATOM_CAP entries, and past that a model
-# is permuted by index arithmetic on its tuples instead.
+# refused before they start.
 ATOM_CAP = 2**20
 
 # A model with a tuple is an int of one bit per atom of its domain size and
@@ -133,61 +128,6 @@ def _relation(arity: int, tuples: frozenset) -> Relation:
     return rel
 
 
-class _AtomTable:
-    """The atoms of the models of one domain size and list of arities.
-
-    With n names and relations in name order, the tuple of domain positions
-    (i1, ..., ia) of relation k is atom ``offsets[k] + i1*n**(a-1) + ... + ia``.
-    The names never enter, so models on any n names share the table.  The
-    image of every atom under a permutation is a list built on its first
-    request and kept, while all tables together hold at most ATOM_CAP
-    entries; past that there is none, and the model's tuples are mapped by
-    index arithmetic instead.
-    """
-
-    def __init__(self, size: int, arities: tuple[int, ...], offsets: list[int]):
-        self.size = size
-        self.arities = arities
-        self.offsets = offsets
-        self.count = offsets[-1]
-        self.images: dict[tuple[int, ...], list[int]] = {}
-
-    def image(self, perm: Permutation) -> list[int] | None:
-        """The image of atom k under perm at index k, or None past the budget."""
-        image = self.images.get(perm.images)
-        if image is None:
-            kept = sum(len(table.images) * table.count for table in _TABLES.values())
-            if kept + self.count > ATOM_CAP:
-                return None
-            n, moved = self.size, [k - 1 for k in perm.images]
-            image = []
-            for offset, arity in zip(self.offsets, self.arities):
-                level = [0]  # on one name, every relation is the one atom 0
-                for _ in range(arity if n > 1 else 0):  # tuples one entry longer
-                    level = [r * n + q for r in level for q in moved]
-                image += [offset + a for a in level]
-            self.images[perm.images] = image
-        return image
-
-
-# one table per (domain size, arities) within ATOM_CAP atoms, made on the
-# first permutation of a model with a tuple; a table without images is a
-# few ints, and the images of all tables share ATOM_CAP
-_TABLES: dict[tuple[int, tuple[int, ...]], _AtomTable] = {}
-
-
-def _table(model: FiniteModel) -> _AtomTable | None:
-    """The model's atom table, or None past ATOM_CAP atoms."""
-    if model._offsets[-1] > ATOM_CAP:
-        return None
-    key = (model.size, tuple(arity for _, arity in model.signature))
-    table = _TABLES.get(key)
-    if table is None:
-        table = _TABLES[key] = _AtomTable(*key, model._offsets)
-    model._table = table
-    return table
-
-
 def _offsets(size: int, arities: Sequence[int]) -> list[int]:
     """Each relation's first atom, then the number of atoms; refused past BIT_CAP."""
     for arity in arities:
@@ -226,9 +166,10 @@ class FiniteModel:
 
     ``signature`` lists the relations' (name, arity) in name order, and
     ``bits`` is the model as an int over the atoms of its domain size and
-    signature (see _AtomTable).  Equality compares (domain, signature,
-    bits), through a hash computed once.  A model with a tuple among more
-    than BIT_CAP atoms is refused.
+    signature: with n names, relation k's tuple of domain positions
+    (i1, ..., ia) is atom ``offsets[k] + i1*n**(a-1) + ... + ia``.
+    Equality compares (domain, signature, bits), through a hash computed
+    once.  A model with a tuple among more than BIT_CAP atoms is refused.
     """
 
     def __init__(self, domain: Sequence[str], relations: Mapping[str, Relation]):
@@ -244,15 +185,13 @@ class FiniteModel:
         if any(rel.tuples for rel in rels.values()):
             offsets = _offsets(len(domain), [arity for _, arity in signature])
             atoms = _atoms(rels, signature, offsets, position)
-        self._set(domain, rels, signature, offsets, None, atoms)
+        self._set(domain, rels, signature, offsets, atoms)
 
-    def _set(self, domain, relations, signature, offsets, table, atoms) -> None:
+    def _set(self, domain, relations, signature, offsets, atoms) -> None:
         self.domain = domain
         self.relations = relations
         self.signature = signature
         self._offsets = offsets
-        self._table = table
-        self._atoms = atoms
         self.bits = _bits(atoms)
         self._hash = hash((domain, signature, self.bits))
 
@@ -304,14 +243,10 @@ def pad_relation(model: FiniteModel, name: str, target_arity: int | None = None)
 
 
 def _image_atoms(perm: Permutation, model: FiniteModel) -> list[int]:
-    if not model._atoms:
+    if not model.bits:
         return []
-    table = model._table or _table(model)
-    image = table and table.image(perm)
-    if image is None:  # past the table budget: the constructor's arithmetic
-        moved = dict(zip(model.domain, (k - 1 for k in perm.images)))
-        return _atoms(model.relations, model.signature, model._offsets, moved)
-    return list(map(image.__getitem__, model._atoms))
+    moved = dict(zip(model.domain, (k - 1 for k in perm.images)))
+    return _atoms(model.relations, model.signature, model._offsets, moved)
 
 
 def _image_bits(perm: Permutation, model: FiniteModel) -> int:
@@ -320,8 +255,7 @@ def _image_bits(perm: Permutation, model: FiniteModel) -> int:
 
 def apply_perm(perm: Permutation, model: FiniteModel) -> FiniteModel:
     """The permuted model: each relation replaced by its pointwise image
-    under the domain relabelling a_k -> a_perm(k), its atoms mapped
-    through the permutation's atom images, unvalidated."""
+    under the domain relabelling a_k -> a_perm(k), unvalidated."""
     if perm.n != model.size:
         raise ValueError(f"permutation of 1..{perm.n} on a {model.size}-element domain")
     domain = model.domain
@@ -332,7 +266,7 @@ def apply_perm(perm: Permutation, model: FiniteModel) -> FiniteModel:
     }
     atoms = _image_atoms(perm, model)
     image = object.__new__(FiniteModel)
-    image._set(domain, rels, model.signature, model._offsets, model._table, atoms)
+    image._set(domain, rels, model.signature, model._offsets, atoms)
     return image
 
 
@@ -341,7 +275,7 @@ def _orbit(model: FiniteModel) -> dict[int, Permutation]:
     of :func:`permsym.symgroup.all_permutations` that reaches it: the one
     pass over the group."""
     group = symgroup.all_permutations(model.size)
-    if model._atoms and len(group) * model._offsets[-1] > ORBIT_BIT_CAP:
+    if model.bits and len(group) * model._offsets[-1] > ORBIT_BIT_CAP:
         count = model._offsets[-1]
         raise ValueError(f"{len(group)} images of {count} atoms exceed the orbit cap {ORBIT_BIT_CAP}")
     orbit: dict[int, Permutation] = {}
@@ -672,25 +606,15 @@ def parse_formula(text: str) -> Formula:
 # ---------------------------------------------------------------------------
 # theories
 
-def _ints(found: Iterable[FiniteModel]) -> dict[tuple, set[int]]:
-    """The models' ints by signature: models of two signatures may share an int."""
-    ints: dict[tuple, set[int]] = {}
-    for m in found:
-        group = ints.get(m.signature)
-        if group is None:
-            group = ints[m.signature] = set()
-        group.add(m.bits)
-    return ints
-
-
 @dataclass(frozen=True)
 class Theory:
     """A shared-domain state space with a selection function on labels."""
 
     space: tuple[FiniteModel, ...]
     selection: Mapping[str, tuple[int, ...]]
-    # the space's ints by signature, built once
-    bits: dict[tuple, set[int]] = field(init=False, repr=False, compare=False)
+    # the space's (signature, int) pairs, built once: models of two
+    # signatures may share an int
+    keys: frozenset[tuple[tuple, int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.space:
@@ -699,10 +623,10 @@ class Theory:
         for m in self.space:
             if m.domain != domain:
                 raise TheoryError("state space mixes domains")
-        bits = _ints(self.space)
-        if sum(map(len, bits.values())) != len(self.space):
+        keys = frozenset((m.signature, m.bits) for m in self.space)
+        if len(keys) != len(self.space):
             raise TheoryError("duplicate models in the state space")
-        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "keys", keys)
         object.__setattr__(
             self,
             "selection",
@@ -724,25 +648,20 @@ def is_permutable(theory: Theory) -> bool:
     of its models, asked of ints.  Each distinct orbit is computed once,
     and if any permute of any selected model is missing from the state
     space the check is ill-posed and raises, whatever the other verdicts."""
-    orbit_of: dict[tuple, dict[int, frozenset[int]]] = {}  # by signature
+    orbit_of: dict[tuple[tuple, int], frozenset] = {}  # by (signature, int)
     for label in theory.selection:
         for m in theory.selected(label):
-            known = orbit_of.setdefault(m.signature, {})
-            if m.bits in known:
+            if (m.signature, m.bits) in orbit_of:
                 continue
-            orbit = frozenset(_orbit(m))
-            if not orbit <= theory.bits[m.signature]:
+            orbit = frozenset((m.signature, b) for b in _orbit(m))
+            if not orbit <= theory.keys:
                 raise TheoryError(
                     f"permute of a model selected by {label!r} is absent "
                     "from the state space"
                 )
-            known.update(dict.fromkeys(orbit, orbit))
-    return all(
-        orbit_of[signature][b] <= picked
-        for label in theory.selection
-        for signature, picked in _ints(theory.selected(label)).items()
-        for b in picked
-    )
+            orbit_of.update(dict.fromkeys(orbit, orbit))
+    picks = ({(m.signature, m.bits) for m in theory.selected(label)} for label in theory.selection)
+    return all(orbit_of[key] <= picked for picked in picks for key in picked)
 
 
 def has_fixity(theory: Theory) -> bool:

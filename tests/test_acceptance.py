@@ -96,8 +96,8 @@ def test_criterion_04_superselection_no_signalling():
 
 
 def test_criterion_05_coin_statistics_exact():
-    bose = cb.coin_statistics("bose").as_dict()
-    mb = cb.coin_statistics("maxwell_boltzmann").as_dict()
+    bose = sg.coin_statistics("bose").as_dict()
+    mb = sg.coin_statistics("maxwell_boltzmann").as_dict()
     ok = bose == {
         "HH": Fraction(1, 3),
         "mixed": Fraction(1, 3),

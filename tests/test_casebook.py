@@ -22,25 +22,25 @@ finite = st.floats(
 
 
 def test_coin_statistics_exact_fractions():
-    bose = cb.coin_statistics("bose")
+    bose = sg.coin_statistics("bose")
     assert bose.as_dict() == {
         "HH": Fraction(1, 3),
         "mixed": Fraction(1, 3),
         "TT": Fraction(1, 3),
     }
-    mb = cb.coin_statistics("maxwell_boltzmann")
+    mb = sg.coin_statistics("maxwell_boltzmann")
     assert mb.outcomes == ("HH", "HT", "TH", "TT")
     assert set(mb.probabilities) == {Fraction(1, 4)}
-    fd = cb.coin_statistics("fermi_dirac")
+    fd = sg.coin_statistics("fermi_dirac")
     assert fd.as_dict() == {
         "HH": Fraction(0),
         "mixed": Fraction(1),
         "TT": Fraction(0),
     }
-    for m in cb.COIN_MEASURES:
-        assert sum(cb.coin_statistics(m).probabilities, Fraction(0)) == 1
+    for m in sg.COIN_MEASURES:
+        assert sum(sg.coin_statistics(m).probabilities, Fraction(0)) == 1
     with pytest.raises(ValueError):
-        cb.coin_statistics("boltzmann_brain")
+        sg.coin_statistics("boltzmann_brain")
 
 
 def test_bose_statistics_from_the_state_space():
@@ -257,7 +257,7 @@ def test_fig3_plane_is_paraparticle_only():
 # toy selection theories
 
 def test_renovators_theory_is_permutable_without_fixity():
-    theory = cb.renovators_theory()
+    theory = md.renovators_theory()
     assert len(theory.space) == 6
     report = md.gpc_check(theory)
     assert report.permutable
@@ -268,7 +268,7 @@ def test_renovators_theory_is_permutable_without_fixity():
 
 
 def test_scribes_theory_has_fixity():
-    theory = cb.scribes_theory()
+    theory = md.scribes_theory()
     report = md.gpc_check(theory)
     assert report.fixed
     assert report.permutable
@@ -279,5 +279,5 @@ def test_scribes_theory_has_fixity():
 
 
 def test_toy_theories_mapping():
-    toys = cb.toy_theories()
+    toys = md.toy_theories()
     assert set(toys) == {"renovators", "scribes"}

@@ -744,7 +744,7 @@ def test_atom_enumeration_past_the_cap_is_usage_error():
 
 
 def test_models_past_the_image_table_budget_permute_and_wider_ones_are_refused():
-    # 3**13 atoms: more than ATOM_CAP, so permuted by index arithmetic
+    # 3**13 atoms: more than ATOM_CAP, yet an int of 200 KB that permutes
     tuples = [["a"] * 13, ["a", "b"] + ["c"] * 11]
     wide = json.dumps({"domain": ["a", "b", "c"], "relations": {"R": {"arity": 13, "tuples": tuples}}})
     assert run_with_stdin(["model", "--input", "-"], wide) == (0, wide + "\n")

@@ -162,6 +162,13 @@ def test_symmetry_predicates_examples():
     assert md.stabiliser(lone) == [sg.identity(2)]
     assert not md.is_symmetric_model(lone)
     assert not md.is_fully_symmetric_model(lone)
+    assert len(md.permute_class(lone)) == 2
+    # six members on any three names, in the order of their serialised forms
+    for domain in (ABC, ("x", "y", "z")):
+        m = md.FiniteModel(domain, {"R": md.Relation(2, frozenset({domain[:2]}))})
+        assert [model_key(c)[1][0][2] for c in md.permute_class(m)] == sorted(
+            ((x, y),) for x, y in itertools.permutations(domain, 2)
+        )
 
 
 def test_pad_relation_semantics():
@@ -207,9 +214,8 @@ def test_atom_enumeration_past_the_cap_is_refused():
             call()
 
 
-def test_models_past_the_table_budget_permute_by_index_arithmetic(monkeypatch):
-    monkeypatch.setattr(md, "_TABLES", {})
-    # 3**13 atoms: more than ATOM_CAP, so no image list, but an int of 200 KB
+def test_models_past_the_description_budget_permute_within_the_bit_caps():
+    # 3**13 atoms: more than ATOM_CAP, but an int of 200 KB
     wide13 = md.FiniteModel(ABC, {"R": md.Relation(13, frozenset({("a",) * 13, ("a", "b") + ("c",) * 11}))})
     assert wide13.bits == 1 | 1 << 3**11 + 3**11 - 1  # atoms 0 and 1·3**11 + (3**11 - 1)
     moved = [md.apply_perm(p, wide13) for p in sg.all_permutations(3)]
@@ -219,7 +225,6 @@ def test_models_past_the_table_budget_permute_by_index_arithmetic(monkeypatch):
     assert len({model_key(m) for m in moved}) == len(set(moved)) == 6
     assert md.permute_class(wide13) == sorted(moved, key=md.model_to_json)
     assert md.stabiliser(wide13) == [sg.identity(3)] and not md.is_fully_symmetric_model(wide13)
-    assert md._TABLES == {}
     # 8 names: a 6-ary relation's orbit could hold 40320 ints of 8**6 bits
     eight = [f"a{k}" for k in range(8)]
     for arity, classes in ((5, 6720), (6, None)):
@@ -239,13 +244,11 @@ def test_models_past_the_table_budget_permute_by_index_arithmetic(monkeypatch):
     wide = {"R": md.Relation(40, frozenset())}
     with pytest.raises(ValueError, match="exceed the cap"):  # atoms are counted over the signature
         md.FiniteModel(ABC, {**wide, "S": md.Relation(1, frozenset({("a",)}))})
-    # with no tuple there is no int to build: the model permutes without a table
-    tables = dict(md._TABLES)
+    # with no tuple the int is 0 whatever the atom count, and every permutation fixes it
     empty = md.FiniteModel(ABC, wide)
     assert empty.bits == 0
     assert md.permute_class(empty) == [empty]
     assert len(md.stabiliser(empty)) == 6 and md.is_fully_symmetric_model(empty)
-    assert md._TABLES == tables
 
 
 def test_one_name_tables_ignore_the_arity():
@@ -255,29 +258,20 @@ def test_one_name_tables_ignore_the_arity():
     assert md.permute_class(m) == [m] and md.is_fully_symmetric_model(m)
 
 
-def test_permute_classes_on_fresh_names_share_one_atom_table(monkeypatch):
-    monkeypatch.setattr(md, "_TABLES", {})
-    for domain in (ABC, ("x", "y", "z")):
-        m = md.FiniteModel(domain, {"R": md.Relation(2, frozenset({domain[:2]}))})
-        assert len(md.permute_class(m)) == 6
-    assert list(md._TABLES) == [(3, (2,))]
-    assert len(md._TABLES[3, (2,)].images) == 6
+def test_permuting_keeps_no_module_state():
+    # a signature that no other test uses, so nothing is kept for it yet
+    names = ("u", "v", "w", "z")
+    m = md.FiniteModel(names, {"K": md.Relation(3, frozenset({names[:3]})), "L": md.Relation(1, frozenset({("z",)}))})
 
+    def sizes():
+        return {name: len(x) for name, x in vars(md).items() if not name.startswith("__") and type(x) in (dict, list, set)}
 
-def test_permutations_past_the_table_budget_map_tuples_by_index_arithmetic(monkeypatch):
-    monkeypatch.setattr(md, "_TABLES", {})
-    monkeypatch.setattr(md, "ATOM_CAP", 20)  # room for two images of 9 atoms
-    lone = md.FiniteModel(ABC, {"R": md.Relation(2, frozenset({("a", "b")}))})
-    for _ in range(2):
-        cls = md.permute_class(lone)
-        assert [model_key(m)[1][0][2] for m in cls] == sorted(
-            ((x, y),) for x, y in itertools.permutations(ABC, 2)
-        )
-        assert list(md._TABLES[3, (2,)].images) == [(1, 2, 3), (1, 3, 2)]
-    # the budget is shared: a second table keeps no image of its 4 atoms
-    pair = md.FiniteModel(("a", "b"), {"R": md.Relation(2, frozenset({("a", "b")}))})
-    assert len(md.permute_class(pair)) == 2
-    assert md._TABLES[2, (2,)].images == {}
+    before = sizes()
+    assert md.apply_perm(sg.from_cycles(4, [(1, 4)]), m) != m
+    space = md.permute_class(m)
+    assert len(space) == 24 and md.stabiliser(m) == [sg.identity(4)] and not md.is_fully_symmetric_model(m)
+    assert md.gpc_check(md.Theory(tuple(space), {"all": tuple(range(24))})) == md.GpcReport(permutable=True, fixed=False)
+    assert sizes() == before
 
 
 def burnside_counts(size: int, arities: Sequence[int]) -> list[int]:
@@ -814,7 +808,8 @@ def test_theories_may_mix_signatures_whose_models_share_ints():
     )
     assert r_ab.bits == s_ab.bits and r_ba.bits == s_ba.bits and r_ab != s_ab
     space = (r_ab, r_ba, s_ab)
-    assert md.Theory(space, {}).bits == {(("R", 2),): {r_ab.bits, r_ba.bits}, (("S", 2),): {s_ab.bits}}
+    r, s = (("R", 2),), (("S", 2),)
+    assert md.Theory(space, {}).keys == {(r, r_ab.bits), (r, r_ba.bits), (s, s_ab.bits)}
     with pytest.raises(md.TheoryError, match="duplicate"):
         md.Theory(space + (r_ab,), {})
     theory = md.Theory(space, {"r": (0, 1), "both": (0, 1, 2)})
